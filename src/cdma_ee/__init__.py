@@ -12,13 +12,12 @@ from .channel import (
     draw_placement,
 )
 from .control import (
-    ControlOutcome,
-    PowerState,
-    run_algorithm1,
-    run_algorithm2,
-    run_baseline,
+    ALGORITHMS,
+    BatchControlResult,
+    NashReport,
     run_control_batch,
     verhulst_step,
+    verify_nash,
 )
 from .errors import (
     ConfigurationError,
@@ -39,7 +38,6 @@ from .metrics import (
 )
 from .optimize import (
     BestResponse,
-    NashReport,
     OptimalSinr,
     QuasiconcavityReport,
     best_response_power,
@@ -47,17 +45,14 @@ from .optimize import (
     optimal_sinr,
     solve_optimal_sinr_batch,
     utility_vs_sinr,
-    verify_nash,
 )
-from .scenario import NetworkScenario, draw_scenario, scenario_checksum
+from .scenario import RECEIVERS, NetworkScenario, draw_scenario, scenario_checksum
 from .spreading import (
-    DecorrelatorBank,
-    SinrReport,
     SpreadingCodeSet,
-    build_decorrelator,
+    dec_eff_interference,
     generate_codes,
-    sinr_dec,
-    sinr_mf,
+    mf_mai_weights,
+    mf_sinr,
 )
 from .tradeoff import TradeoffCurve, default_sweep_grid, gap_lambda, sweep_tradeoff
 

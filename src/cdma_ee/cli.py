@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .channel import FixedGeometry, draw_placement
-from .control import RUNNERS
+from .control import ALGORITHMS, run_control_batch
 from .errors import (
     ConfigurationError,
     NoInteriorMaximumError,
@@ -31,10 +31,10 @@ from .harness import (
     read_report,
     run_experiment,
 )
-from .metrics import LN2, utility
-from .scenario import draw_scenario
+from .metrics import rate, utility
+from .scenario import RECEIVERS, draw_scenario
 from .seeding import realization_seed
-from .spreading import generate_codes
+from .spreading import decorrelator_load_error, generate_codes
 from .tradeoff import sweep_tradeoff
 
 EXIT_CONFIG = 2
@@ -54,10 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="config file path or preset name")
     common.add_argument("--seed", type=int, help="override the master seed")
     common.add_argument("--out", help="override the output directory")
-    common.add_argument("--receiver", choices=("mf", "dec"), help="override the receiver")
-    common.add_argument(
-        "--algorithm", choices=("alg1", "alg2", "baseline"), help="override the algorithm"
-    )
+    common.add_argument("--receiver", choices=RECEIVERS, help="override the receiver")
+    common.add_argument("--algorithm", choices=ALGORITHMS, help="override the algorithm")
 
     run = sub.add_parser("run", parents=[common], help="Monte Carlo sweep over user counts")
     run.add_argument("--realizations", type=int, help="override the realization count")
@@ -199,10 +197,9 @@ def _cmd_solve(args) -> int:
     document = _apply_overrides(load_config_data(args.config), args)
     config = config_from_dict(document)
     k_users = args.k if args.k is not None else config.user_counts[0]
-    if config.receiver == "dec" and k_users > config.processing_gain:
-        raise ConfigurationError(
-            f"decorrelator needs K <= N, got K={k_users} > N={config.processing_gain}"
-        )
+    reason = decorrelator_load_error(k_users, config.processing_gain)
+    if config.receiver == "dec" and reason:
+        raise ConfigurationError(reason)
     params = config.ee_params()
     scenario = draw_scenario(
         config.geometry,
@@ -213,29 +210,36 @@ def _cmd_solve(args) -> int:
         config.path_loss_exponent,
         config.fading,
     )
-    outcome = RUNNERS[config.algorithm](
-        scenario,
+    result = run_control_batch(
+        scenario.channel.gain_power[None],
+        scenario.codes.correlation[None],
+        config.receiver,
+        config.algorithm,
         params,
         iterations=config.iterations,
         alpha=config.alpha,
         resolve_each_iteration=config.resolve_targets_each_iteration,
     )
-    state = outcome.final_state
+    if result.failed[0]:
+        raise ReceiverUnavailableError(result.failure_reasons[0])
+    power, sinr, target, active = (
+        result.power[0], result.sinr[0], result.target_sinr[0], result.active[0]
+    )
     gap = np.broadcast_to(np.asarray(params.gap(), dtype=float), (k_users,))
+    rates = rate(sinr, gap, config.bandwidth)
     print(
         f"K={k_users} receiver={config.receiver} algorithm={config.algorithm} "
-        f"rounds={outcome.rounds} converged={outcome.converged} "
-        f"removed={list(outcome.removed_users)}"
+        f"rounds={int(result.rounds[0])} converged={bool(result.converged[0])} "
+        f"removed={result.removed[0]}"
     )
     header = f"{'user':>4} {'dist_m':>9} {'gain_pow':>12} {'target':>12} {'power_w':>12} {'sinr':>12} {'rate_bps':>12} {'ee_bit_j':>12}"
     print(header)
     for k in range(k_users):
-        rate_k = config.bandwidth * np.log1p(gap[k] * state.sinr[k]) / LN2
-        ee_k = utility(state.power[k], state.sinr[k], params, gap[k]) if state.active[k] else 0.0
+        ee_k = utility(power[k], sinr[k], params, gap[k]) if active[k] else 0.0
         print(
             f"{k:>4} {scenario.placement.distances[k]:>9.2f} "
-            f"{scenario.channel.gain_power[k]:>12.4e} {state.target_sinr[k]:>12.4e} "
-            f"{state.power[k]:>12.4e} {state.sinr[k]:>12.4e} {rate_k:>12.4e} {float(ee_k):>12.4e}"
+            f"{scenario.channel.gain_power[k]:>12.4e} {target[k]:>12.4e} "
+            f"{power[k]:>12.4e} {sinr[k]:>12.4e} {rates[k]:>12.4e} {float(ee_k):>12.4e}"
         )
     return 0
 

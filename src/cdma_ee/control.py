@@ -29,11 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ReceiverUnavailableError
-from .metrics import LN2, EEParams
+from .errors import ConfigurationError, NotConvergedError, ReceiverUnavailableError
+from .metrics import EEParams, rate, utility
 from .optimize import solve_optimal_sinr_batch
-from .scenario import NetworkScenario
-from .spreading import guarded_inverse
+from .scenario import RECEIVERS, NetworkScenario
+from .spreading import dec_eff_interference, mf_mai_weights, mf_sinr
 
 ALGORITHMS = ("alg1", "alg2", "baseline")
 
@@ -42,31 +42,6 @@ ALGORITHMS = ("alg1", "alg2", "baseline")
 REMOVAL_SINR_REL_TOL = 1e-2
 POWER_STABLE_REL_TOL = 1e-6
 SINR_STABLE_REL_TOL = 1e-6
-
-
-@dataclass
-class PowerState:
-    """Powers, activity flags and SINR bookkeeping of one realization."""
-
-    power: np.ndarray
-    active: np.ndarray
-    sinr: np.ndarray
-    target_sinr: np.ndarray
-    iteration: int
-
-
-@dataclass
-class ControlOutcome:
-    """Result of one power-control run."""
-
-    final_state: PowerState
-    removed_users: list[int]
-    converged: bool
-    rounds: int
-    stabilized_iteration: int | None
-    eff_interference: np.ndarray
-    target_flagged: bool
-    power_change: float
 
 
 @dataclass
@@ -107,27 +82,11 @@ def verhulst_step(power, sinr, target_sinr, alpha, max_power):
     return np.where(target_sinr > 0.0, updated, 0.0)
 
 
-def _mai_weights_batch(correlation: np.ndarray) -> np.ndarray:
-    weights = correlation**2
-    k = weights.shape[-1]
-    idx = np.arange(k)
-    weights[:, idx, idx] = 0.0
-    return weights
-
-
-def _mf_quantities(power, gain_power, weights, noise_power):
-    received = power * gain_power
-    mai = np.einsum("bkj,bj->bk", weights, received)
-    denominator = mai + noise_power
-    return received / denominator, denominator / gain_power
-
-
 def _batch_round(
     gain_power,
     weights,
-    dec_eff_interference,
+    dec_itf,
     active,
-    receiver,
     params: EEParams,
     gap_row,
     iterations,
@@ -136,9 +95,20 @@ def _batch_round(
     resolve_each_iteration,
     trajectory=None,
 ):
-    """One fixed-length Verhulst round over a sub-batch; no removals here."""
+    """One fixed-length Verhulst round over a sub-batch; no removals here.
+
+    Under the matched filter ``weights`` holds the MAI weights; under the
+    decorrelator it is None and ``dec_itf`` holds the fixed effective
+    interference (1.0 for inactive users).
+    """
     batch, users = gain_power.shape
     noise = params.noise_power
+
+    def observe(power):
+        if weights is not None:
+            return mf_sinr(power, gain_power, weights, noise)
+        return np.where(active, power / dec_itf, 0.0), dec_itf
+
     power = np.where(active, initial_power, 0.0)
     gap = np.broadcast_to(gap_row, (batch, users))
     targets = np.zeros((batch, users))
@@ -149,13 +119,8 @@ def _batch_round(
     last_change = np.zeros(batch)
 
     for it in range(iterations):
-        if receiver == "mf":
-            sinr, eff_itf = _mf_quantities(power, gain_power, weights, noise)
-        else:
-            eff_itf = dec_eff_interference
-            sinr = np.where(active, power / np.where(active, eff_itf, 1.0), 0.0)
-
-        if it == 0 or (receiver == "mf" and resolve_each_iteration):
+        sinr, eff_itf = observe(power)
+        if it == 0 or (weights is not None and resolve_each_iteration):
             solved, no_interior, _, _ = solve_optimal_sinr_batch(
                 np.where(active, eff_itf, 1.0), params, gap, initial_guess=guess
             )
@@ -176,11 +141,7 @@ def _batch_round(
         if trajectory is not None:
             trajectory.append(power.copy())
 
-    if receiver == "mf":
-        sinr, eff_itf = _mf_quantities(power, gain_power, weights, noise)
-    else:
-        eff_itf = dec_eff_interference
-        sinr = np.where(active, power / np.where(active, eff_itf, 1.0), 0.0)
+    sinr, eff_itf = observe(power)
     return power, sinr, targets, eff_itf, stabilized, last_change, flagged
 
 
@@ -215,8 +176,8 @@ def run_control_batch(
     """
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(f"algorithm must be one of {ALGORITHMS}")
-    if receiver not in ("mf", "dec"):
-        raise ConfigurationError("receiver must be 'mf' or 'dec'")
+    if receiver not in RECEIVERS:
+        raise ConfigurationError(f"receiver must be one of {RECEIVERS}")
     if iterations < 1:
         raise ConfigurationError("iterations must be >= 1")
 
@@ -227,7 +188,7 @@ def run_control_batch(
     correlation = np.asarray(correlation, dtype=float)
     if correlation.shape != (batch, users, users):
         raise ConfigurationError("correlation must have shape (batch, users, users)")
-    weights = _mai_weights_batch(correlation) if receiver == "mf" else None
+    weights = mf_mai_weights(correlation) if receiver == "mf" else None
     base_power = (
         np.full((batch, users), params.noise_power)
         if initial_power is None
@@ -263,17 +224,14 @@ def run_control_batch(
             dec_itf = np.ones((rows.size, users))
             kept = []
             for offset, b in enumerate(rows):
-                mask = active[b]
                 try:
-                    inverse = guarded_inverse(correlation[b][np.ix_(mask, mask)], cond_limit)
+                    dec_itf[offset, active[b]] = dec_eff_interference(
+                        gain_power[b], correlation[b], active[b], params.noise_power, cond_limit
+                    )
                 except ReceiverUnavailableError as exc:
                     failed[b] = True
                     failure_reasons[int(b)] = str(exc)
                     continue
-                enhancement = np.diagonal(inverse)
-                dec_itf[offset, mask] = (
-                    params.noise_power * enhancement / gain_power[b, mask]
-                )
                 kept.append(offset)
             if len(kept) < rows.size:
                 keep_idx = np.asarray(kept, dtype=int)
@@ -287,7 +245,6 @@ def run_control_batch(
             weights[rows] if weights is not None else None,
             dec_itf,
             active[rows],
-            receiver,
             params,
             gap_row,
             iterations,
@@ -296,7 +253,7 @@ def run_control_batch(
             resolve_each_iteration,
             trajectory=trajectory,
         )
-        rates = params.bandwidth * np.log1p(gap_row * sinr) / LN2
+        rates = rate(sinr, gap_row, params.bandwidth)
         below = _removal_candidates(algorithm, sinr, targets, active[rows], rates, min_rate_row)
         has_removal = below.any(axis=1)
 
@@ -338,90 +295,88 @@ def run_control_batch(
     )
 
 
-def _run_single(
+@dataclass(frozen=True)
+class NashReport:
+    """Deviation-grid equilibrium check and optional uniqueness probe."""
+
+    equilibrium: bool
+    max_improvement: float
+    violations: list[tuple[int, float, float]]  # (user, deviation power, rel. gain)
+    uniqueness_checked: bool
+    uniqueness_ok: bool | None
+    restart_max_deviation: float | None
+
+
+def verify_nash(
+    result: BatchControlResult,
     scenario: NetworkScenario,
     params: EEParams,
-    algorithm: str,
-    iterations: int,
-    alpha: float,
-    initial_power: np.ndarray | None,
-    resolve_each_iteration: bool,
-    trajectory: list | None = None,
-) -> ControlOutcome:
-    result = run_control_batch(
-        scenario.channel.gain_power[None, :],
-        scenario.codes.correlation[None, :, :],
-        scenario.receiver,
-        algorithm,
-        params,
-        iterations=iterations,
-        alpha=alpha,
-        initial_power=None if initial_power is None else np.asarray(initial_power)[None, :],
-        resolve_each_iteration=resolve_each_iteration,
-        trajectory=trajectory,
+    deviation_points: int = 200,
+    improvement_tol: float = 1e-6,
+    algorithm: str | None = None,
+    restarts: int = 5,
+    restart_tol: float = 1e-4,
+    rng: np.random.Generator | None = None,
+) -> NashReport:
+    """Check that no active user can gain by unilaterally changing power.
+
+    ``result`` is the outcome of ``run_control_batch`` on ``scenario`` alone
+    (a batch of one).  Each active user's utility is evaluated on a
+    log-spaced deviation grid in (0, max_power] with everyone else frozen at
+    the converged powers, that is at the result's effective interference.
+    When ``algorithm`` is given and no user was removed, that scheme is
+    restarted from random initial vectors, all in one batch, to probe
+    uniqueness.  Restart vectors are drawn log-uniformly at or below the
+    noise-floor start of the nominal dynamics: the zero-clamped update makes
+    p = 0 absorbing, so a start far above the fixed point would just
+    overshoot into that trap rather than probe for another equilibrium.
+    """
+    if result.power.shape[0] != 1:
+        raise ValueError("verify_nash checks a batch of one realization")
+    if not result.converged[0]:
+        raise NotConvergedError("outcome did not converge; equilibrium check refused")
+    power, sinr, active = result.power[0], result.sinr[0], result.active[0]
+    eff_interference = result.eff_interference[0]
+    user_count = power.size
+    gap = np.broadcast_to(np.asarray(params.gap(), dtype=float), (user_count,))
+
+    grid = np.geomspace(1e-6 * params.max_power, params.max_power, deviation_points)
+    violations: list[tuple[int, float, float]] = []
+    max_improvement = 0.0
+    for k in np.flatnonzero(active):
+        base = float(utility(power[k], sinr[k], params, gap[k]))
+        deviated = utility(grid, grid / eff_interference[k], params, gap[k])
+        gains = (deviated - base) / max(base, 1e-300)
+        worst = float(np.max(gains))
+        max_improvement = max(max_improvement, worst)
+        if worst > improvement_tol:
+            at = int(np.argmax(gains))
+            violations.append((int(k), float(grid[at]), worst))
+
+    uniqueness_checked = False
+    uniqueness_ok = None
+    restart_max_deviation = None
+    if algorithm is not None and not result.removed[0] and restarts > 0:
+        gen = rng if rng is not None else np.random.default_rng(0)
+        starts = params.noise_power * 10.0 ** gen.uniform(-4.0, 0.0, size=(restarts, user_count))
+        others = run_control_batch(
+            np.repeat(scenario.channel.gain_power[None], restarts, axis=0),
+            np.repeat(scenario.codes.correlation[None], restarts, axis=0),
+            scenario.receiver,
+            algorithm,
+            params,
+            initial_power=starts,
+        )
+        scale = np.where(power > 0.0, power, 1.0)
+        uniqueness_checked = True
+        restart_max_deviation = float(np.max(np.abs(others.power - power) / scale))
+        uniqueness_ok = restart_max_deviation < restart_tol
+
+    return NashReport(
+        equilibrium=not violations,
+        max_improvement=max_improvement,
+        violations=violations,
+        uniqueness_checked=uniqueness_checked,
+        uniqueness_ok=uniqueness_ok,
+        restart_max_deviation=restart_max_deviation,
     )
-    if result.failed[0]:
-        raise ReceiverUnavailableError(result.failure_reasons[0])
-    state = PowerState(
-        power=result.power[0],
-        active=result.active[0],
-        sinr=result.sinr[0],
-        target_sinr=result.target_sinr[0],
-        iteration=iterations,
-    )
-    stab = int(result.stabilized_iteration[0])
-    return ControlOutcome(
-        final_state=state,
-        removed_users=result.removed[0],
-        converged=bool(result.converged[0]),
-        rounds=int(result.rounds[0]),
-        stabilized_iteration=stab if stab >= 0 else None,
-        eff_interference=result.eff_interference[0],
-        target_flagged=bool(result.target_flagged[0]),
-        power_change=float(result.power_change[0]),
-    )
-
-
-def run_algorithm1(
-    scenario: NetworkScenario,
-    params: EEParams,
-    iterations: int = 500,
-    alpha: float = 0.5,
-    initial_power: np.ndarray | None = None,
-    resolve_each_iteration: bool = True,
-) -> ControlOutcome:
-    """EE-optimal targets with outage removal of every user missing them."""
-    return _run_single(
-        scenario, params, "alg1", iterations, alpha, initial_power, resolve_each_iteration
-    )
-
-
-def run_algorithm2(
-    scenario: NetworkScenario,
-    params: EEParams,
-    iterations: int = 500,
-    alpha: float = 0.5,
-    initial_power: np.ndarray | None = None,
-    resolve_each_iteration: bool = True,
-) -> ControlOutcome:
-    """Like ``run_algorithm1`` but keeps users that still meet their min rate."""
-    return _run_single(
-        scenario, params, "alg2", iterations, alpha, initial_power, resolve_each_iteration
-    )
-
-
-def run_baseline(
-    scenario: NetworkScenario,
-    params: EEParams,
-    iterations: int = 500,
-    alpha: float = 0.5,
-    initial_power: np.ndarray | None = None,
-    resolve_each_iteration: bool = True,
-) -> ControlOutcome:
-    """No removal: users that cannot reach their target sit at max power."""
-    return _run_single(
-        scenario, params, "baseline", iterations, alpha, initial_power, resolve_each_iteration
-    )
-
-
-RUNNERS = {"alg1": run_algorithm1, "alg2": run_algorithm2, "baseline": run_baseline}

@@ -27,11 +27,12 @@ from scipy import stats
 
 from . import __version__
 from .channel import FixedGeometry, Geometry, RingGeometry
-from .control import run_control_batch
+from .control import ALGORITHMS, run_control_batch
 from .errors import ConfigurationError
-from .metrics import LN2, EEParams, dbm_to_watt, global_ee
-from .scenario import draw_scenario, scenario_checksum
+from .metrics import EEParams, dbm_to_watt, global_ee, rate
+from .scenario import RECEIVERS, draw_scenario, scenario_checksum
 from .seeding import realization_seed
+from .spreading import decorrelator_load_error
 
 WORKERS_ENV_VAR = "CDMA_EE_WORKERS"
 
@@ -125,10 +126,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.realizations < 1:
             raise ConfigurationError("realizations must be >= 1")
-        if self.receiver not in ("mf", "dec"):
-            raise ConfigurationError("receiver must be 'mf' or 'dec'")
-        if self.algorithm not in ("alg1", "alg2", "baseline"):
-            raise ConfigurationError("algorithm must be alg1, alg2 or baseline")
+        if self.receiver not in RECEIVERS:
+            raise ConfigurationError(f"receiver must be one of {RECEIVERS}")
+        if self.algorithm not in ALGORITHMS:
+            raise ConfigurationError(f"algorithm must be one of {ALGORITHMS}")
         if not self.user_counts or any(k < 1 for k in self.user_counts):
             raise ConfigurationError("user_counts must be positive")
         self.ee_params()  # validates the physical quantities
@@ -296,7 +297,7 @@ def _run_chunk(config: ScenarioConfig, k_users: int, realizations: list[int]):
         power = result.power[b]
         sinr = result.sinr[b]
         n_removed = len(result.removed[b])
-        rates = config.bandwidth * np.log1p(gap_row[active] * sinr[active]) / LN2
+        rates = rate(sinr[active], gap_row[active], config.bandwidth)
         sum_power = float(np.sum(power[active] + params.circuit_power))
         ee = global_ee(
             rates,
@@ -347,13 +348,9 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
     chunking = max(workers, 1)
     all_realizations = list(range(config.realizations))
     for k_users in config.user_counts:
-        if config.receiver == "dec" and k_users > config.processing_gain:
-            errors.append(
-                {
-                    "k_users": k_users,
-                    "error": f"decorrelator needs K <= N, got K={k_users} > N={config.processing_gain}",
-                }
-            )
+        reason = decorrelator_load_error(k_users, config.processing_gain)
+        if config.receiver == "dec" and reason:
+            errors.append({"k_users": k_users, "error": reason})
             continue
         splits = np.array_split(all_realizations, chunking)
         for split in splits:
@@ -476,10 +473,8 @@ def _render(value) -> str:
     return str(value)
 
 
-def emit_results(report: RunReport, out_dir: str | Path, fmt: str = "csv") -> dict[str, Path]:
+def emit_results(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
     """Write the raw table, the aggregate table and the metadata sidecar."""
-    if fmt != "csv":
-        raise ConfigurationError(f"unsupported output format {fmt!r}")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

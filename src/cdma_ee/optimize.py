@@ -1,4 +1,4 @@
-"""Per-user EE maximization: optimal SINR, best response, equilibrium checks.
+"""Per-user EE maximization: optimal SINR, best response, quasiconcavity checks.
 
 For fixed interference, the EE utility along the own-power direction is
 
@@ -21,9 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NoInteriorMaximumError, NotConvergedError
+from .errors import NoInteriorMaximumError
 from .metrics import LN2, EEParams, utility
-from .spreading import build_decorrelator, mf_mai_weights
 
 BRACKET_LOW = 1e-3
 BRACKET_HIGH = 1e3
@@ -239,6 +238,26 @@ class QuasiconcavityReport:
         return self.unimodal and self.pair_violation is None
 
 
+def scan_unimodal(values: np.ndarray, rel_tol: float = 1e-12) -> tuple[int, int | None, float]:
+    """Scan sampled values for a single peak.
+
+    Returns ``(peak, step, slack)``: the argmax, the first step i (values[i]
+    to values[i + 1]) that falls before the peak or rises after it by more
+    than ``slack``, or None when there is none, and ``slack`` itself, which
+    is ``rel_tol`` times the largest magnitude sampled.  Any number of
+    samples from one up is accepted.
+    """
+    scale = float(np.max(np.abs(values)))
+    slack = rel_tol * (scale if scale > 0.0 else 1.0)
+    peak = int(np.argmax(values))
+    diffs = np.diff(values)
+    before = np.flatnonzero(diffs[:peak] < -slack)
+    if before.size:
+        return peak, int(before[0]), slack
+    after = np.flatnonzero(diffs[peak:] > slack)
+    return peak, (int(after[0]) + peak if after.size else None), slack
+
+
 def check_quasiconcavity(
     sampler: Callable[[np.ndarray], np.ndarray],
     sinr_grid: np.ndarray,
@@ -258,21 +277,13 @@ def check_quasiconcavity(
     if grid.size < 3 or np.any(np.diff(grid) <= 0.0):
         raise ValueError("sinr_grid must be strictly increasing with >= 3 points")
     values = np.asarray(sampler(grid), dtype=float)
-    scale = float(np.max(np.abs(values)))
-    slack = rel_tol * (scale if scale > 0.0 else 1.0)
-    peak = int(np.argmax(values))
-
-    monotone_violation = None
-    diffs = np.diff(values)
-    before = np.flatnonzero(diffs[:peak] < -slack)
-    if before.size:
-        i = int(before[0])
+    peak, i, slack = scan_unimodal(values, rel_tol)
+    if i is None:
+        monotone_violation = None
+    elif i < peak:  # a dip before the peak
         monotone_violation = (float(grid[i]), float(grid[i + 1]), float(grid[peak]))
-    else:
-        after = np.flatnonzero(diffs[peak:] > slack)
-        if after.size:
-            i = int(after[0]) + peak
-            monotone_violation = (float(grid[peak]), float(grid[i]), float(grid[i + 1]))
+    else:  # a rise after it
+        monotone_violation = (float(grid[peak]), float(grid[i]), float(grid[i + 1]))
 
     pair_violation = None
     gen = rng if rng is not None else np.random.default_rng(0)
@@ -309,92 +320,3 @@ def best_response_power(
     capped = wanted > max_power
     power = min(wanted, max_power)
     return BestResponse(power=power, capped=capped, achieved_sinr=power / eff_interference)
-
-
-@dataclass(frozen=True)
-class NashReport:
-    """Deviation-grid equilibrium check and optional uniqueness probe."""
-
-    equilibrium: bool
-    max_improvement: float
-    violations: list[tuple[int, float, float]]  # (user, deviation power, rel. gain)
-    uniqueness_checked: bool
-    uniqueness_ok: bool | None
-    restart_max_deviation: float | None
-
-
-def verify_nash(
-    outcome,
-    scenario,
-    params: EEParams,
-    deviation_points: int = 200,
-    improvement_tol: float = 1e-6,
-    rerun: Callable[[np.ndarray], object] | None = None,
-    restarts: int = 5,
-    restart_tol: float = 1e-4,
-    rng: np.random.Generator | None = None,
-) -> NashReport:
-    """Check that no active user can gain by unilaterally changing power.
-
-    Each active user's utility is evaluated on a log-spaced deviation grid in
-    (0, max_power] with everyone else frozen at the converged powers.  When a
-    ``rerun`` callable is provided and no user was removed, the power control
-    is restarted from random initial vectors to probe uniqueness.  Restart
-    vectors are drawn log-uniformly at or below the noise-floor start of the
-    nominal dynamics: the zero-clamped update makes p = 0 absorbing, so a
-    start far above the fixed point would just overshoot into that trap
-    rather than probe for another equilibrium.
-    """
-    if not getattr(outcome, "converged", False):
-        raise NotConvergedError("outcome did not converge; equilibrium check refused")
-    state = outcome.final_state
-    active = np.asarray(state.active, dtype=bool)
-    gain_power = scenario.channel.gain_power
-    user_count = gain_power.size
-    gap = np.broadcast_to(np.asarray(params.gap(), dtype=float), (user_count,))
-
-    if scenario.receiver == "mf":
-        received = state.power * gain_power
-        denominator = mf_mai_weights(scenario.codes.correlation) @ received + params.noise_power
-    else:
-        bank = build_decorrelator(scenario.codes.subset(active))
-        denominator = np.full(user_count, np.nan)
-        denominator[active] = params.noise_power * bank.noise_enhancement
-
-    grid = np.geomspace(1e-6 * params.max_power, params.max_power, deviation_points)
-    violations: list[tuple[int, float, float]] = []
-    max_improvement = 0.0
-    for k in np.flatnonzero(active):
-        base = float(utility(state.power[k], state.sinr[k], params, gap[k]))
-        grid_sinr = grid * gain_power[k] / denominator[k]
-        gains = (utility(grid, grid_sinr, params, gap[k]) - base) / max(base, 1e-300)
-        worst = float(np.max(gains))
-        max_improvement = max(max_improvement, worst)
-        if worst > improvement_tol:
-            at = int(np.argmax(gains))
-            violations.append((int(k), float(grid[at]), worst))
-
-    uniqueness_checked = False
-    uniqueness_ok = None
-    restart_max_deviation = None
-    if rerun is not None and not outcome.removed_users and restarts > 0:
-        gen = rng if rng is not None else np.random.default_rng(0)
-        uniqueness_checked = True
-        restart_max_deviation = 0.0
-        reference = state.power
-        scale = np.where(reference > 0.0, reference, 1.0)
-        for _ in range(restarts):
-            start = params.noise_power * 10.0 ** gen.uniform(-4.0, 0.0, size=user_count)
-            other = rerun(start)
-            deviation = float(np.max(np.abs(other.final_state.power - reference) / scale))
-            restart_max_deviation = max(restart_max_deviation, deviation)
-        uniqueness_ok = restart_max_deviation < restart_tol
-
-    return NashReport(
-        equilibrium=not violations,
-        max_improvement=max_improvement,
-        violations=violations,
-        uniqueness_checked=uniqueness_checked,
-        uniqueness_ok=uniqueness_ok,
-        restart_max_deviation=restart_max_deviation,
-    )

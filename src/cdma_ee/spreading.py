@@ -1,9 +1,11 @@
-"""Random PN spreading codes, their correlation structure, and per-user SINR.
+"""Random PN spreading codes, their correlation structure, and the receiver model.
 
 Two linear receivers are modelled: the matched filter, which treats
 multiple-access interference (MAI) as noise, and the decorrelator, which
 nulls MAI at the cost of a per-user noise-enhancement factor equal to the
-diagonal of the inverse correlation matrix.
+diagonal of the inverse correlation matrix.  Both are described to the rest
+of the package by each user's effective interference I_k, the quantity with
+p_k = sinr_k * I_k while the other powers stay fixed.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelState
 from .errors import ReceiverUnavailableError
 from .seeding import ensure_rng
 
@@ -38,40 +39,6 @@ class SpreadingCodeSet:
     @property
     def user_count(self) -> int:
         return self.chips.shape[1]
-
-    def subset(self, keep: np.ndarray) -> "SpreadingCodeSet":
-        """Code set restricted to the users selected by a boolean mask."""
-        keep = np.asarray(keep, dtype=bool)
-        return SpreadingCodeSet(
-            chips=self.chips[:, keep],
-            correlation=self.correlation[np.ix_(keep, keep)],
-        )
-
-
-@dataclass(frozen=True)
-class DecorrelatorBank:
-    """Decorrelating receive filters D = S R^-1 and their noise enhancement.
-
-    ``noise_enhancement[k]`` equals both d_k'd_k and [R^-1]_kk; it is >= 1
-    for unit-norm codes.
-    """
-
-    filters: np.ndarray            # (N, K)
-    noise_enhancement: np.ndarray  # (K,)
-
-
-@dataclass(frozen=True)
-class SinrReport:
-    """Per-user SINR, MAI power, and effective interference.
-
-    ``eff_interference[k]`` is the quantity I with p_k = sinr_k * I_k when all
-    other powers stay fixed (exact for both receivers, since neither SINR
-    denominator contains the user's own power).
-    """
-
-    sinr: np.ndarray
-    mai_power: np.ndarray
-    eff_interference: np.ndarray
 
 
 def generate_codes(
@@ -105,19 +72,11 @@ def guarded_inverse(matrix: np.ndarray, cond_limit: float = CONDITION_LIMIT) -> 
     return inverse
 
 
-def build_decorrelator(
-    codes: SpreadingCodeSet, cond_limit: float = CONDITION_LIMIT
-) -> DecorrelatorBank:
-    """Build the decorrelating filter bank for the given code set."""
-    if codes.user_count > codes.processing_gain:
-        raise ReceiverUnavailableError(
-            f"decorrelator needs K <= N, got K={codes.user_count} > N={codes.processing_gain}"
-        )
-    inverse = guarded_inverse(codes.correlation, cond_limit)
-    return DecorrelatorBank(
-        filters=codes.chips @ inverse,
-        noise_enhancement=np.diagonal(inverse).copy(),
-    )
+def decorrelator_load_error(user_count: int, processing_gain: int) -> str | None:
+    """Why a decorrelator cannot separate this many users, or None if it can."""
+    if user_count > processing_gain:
+        return f"decorrelator needs K <= N, got K={user_count} > N={processing_gain}"
+    return None
 
 
 def _check_powers(powers: np.ndarray) -> np.ndarray:
@@ -127,46 +86,52 @@ def _check_powers(powers: np.ndarray) -> np.ndarray:
     return powers
 
 
+def _check_noise(noise_power: float) -> None:
+    if noise_power <= 0.0:
+        raise ValueError("noise_power must be positive")
+
+
 def mf_mai_weights(correlation: np.ndarray) -> np.ndarray:
-    """Squared cross-correlations with a zero diagonal (MAI coupling weights)."""
+    """Squared cross-correlations with a zero diagonal (MAI coupling weights).
+
+    Works on one (K, K) matrix or on any stack of them, (..., K, K).
+    """
     weights = correlation**2
-    np.fill_diagonal(weights, 0.0)
+    idx = np.arange(weights.shape[-1])
+    weights[..., idx, idx] = 0.0
     return weights
 
 
-def sinr_mf(
-    powers: np.ndarray,
-    channel: ChannelState,
-    codes: SpreadingCodeSet,
-    noise_power: float,
-) -> SinrReport:
-    """Matched-filter SINR: own received power over MAI plus noise."""
-    powers = _check_powers(powers)
-    if noise_power <= 0.0:
-        raise ValueError("noise_power must be positive")
-    received = powers * channel.gain_power
-    mai = mf_mai_weights(codes.correlation) @ received
+def mf_sinr(power, gain_power, weights, noise_power: float):
+    """Matched-filter SINR and effective interference of a batch of realizations.
+
+    ``power`` and ``gain_power`` are (B, K) and ``weights`` the (B, K, K) MAI
+    weights of ``mf_mai_weights``.  The SINR is the own received power over
+    MAI plus noise; the effective interference is that denominator over the
+    own gain.  Every row is computed on its own, so a realization's values do
+    not depend on what else is in the batch.
+    """
+    power = _check_powers(power)
+    _check_noise(noise_power)
+    received = power * gain_power
+    mai = np.einsum("bkj,bj->bk", weights, received)
     denominator = mai + noise_power
-    return SinrReport(
-        sinr=received / denominator,
-        mai_power=mai,
-        eff_interference=denominator / channel.gain_power,
-    )
+    return received / denominator, denominator / gain_power
 
 
-def sinr_dec(
-    powers: np.ndarray,
-    channel: ChannelState,
-    bank: DecorrelatorBank,
-    noise_power: float,
-) -> SinrReport:
-    """Decorrelator SINR: MAI is nulled, noise is enhanced by d_k'd_k."""
-    powers = _check_powers(powers)
-    if noise_power <= 0.0:
-        raise ValueError("noise_power must be positive")
-    denominator = noise_power * bank.noise_enhancement
-    return SinrReport(
-        sinr=powers * channel.gain_power / denominator,
-        mai_power=np.zeros_like(denominator),
-        eff_interference=denominator / channel.gain_power,
-    )
+def dec_eff_interference(
+    gain_power, correlation, active, noise_power: float, cond_limit: float = CONDITION_LIMIT
+) -> np.ndarray:
+    """Decorrelator effective interference of the active users of one realization.
+
+    The decorrelator D = S R^-1 of the active users nulls their MAI and scales
+    the noise by d_k'd_k = [R^-1]_kk, so the result is
+    ``noise_power * [R^-1]_kk / gain_power[..., k]`` over the active ``k``.
+    ``gain_power`` may stack several draws of the same users, (..., K).  The
+    SINR is ``power / eff_interference``, whatever the other users transmit.
+    Raises ``ReceiverUnavailableError`` when R is singular or ill-conditioned.
+    """
+    _check_noise(noise_power)
+    active = np.asarray(active, dtype=bool)
+    inverse = guarded_inverse(correlation[np.ix_(active, active)], cond_limit)
+    return noise_power * np.diagonal(inverse) / gain_power[..., active]

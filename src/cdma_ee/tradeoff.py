@@ -13,10 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Placement, coupling_parameter, draw_channel
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ReceiverUnavailableError
 from .metrics import EEParams, spectral_efficiency, utility
+from .optimize import scan_unimodal
+from .scenario import RECEIVERS
 from .seeding import ensure_rng
-from .spreading import SpreadingCodeSet, build_decorrelator, mf_mai_weights
+from .spreading import (
+    SpreadingCodeSet,
+    dec_eff_interference,
+    decorrelator_load_error,
+    mf_mai_weights,
+    mf_sinr,
+)
 
 SWEEP_POINTS = 400
 
@@ -52,14 +60,6 @@ def default_sweep_grid(max_power: float, points: int = SWEEP_POINTS) -> np.ndarr
     return np.geomspace(1e-6 * max_power, max_power, points)
 
 
-def _scan_unimodal(values: np.ndarray, rel_tol: float = 1e-12) -> bool:
-    scale = float(np.max(np.abs(values)))
-    slack = rel_tol * (scale if scale > 0.0 else 1.0)
-    peak = int(np.argmax(values))
-    diffs = np.diff(values)
-    return not (np.any(diffs[:peak] < -slack) or np.any(diffs[peak:] > slack))
-
-
 def sweep_tradeoff(
     placement: Placement,
     codes: SpreadingCodeSet,
@@ -73,8 +73,8 @@ def sweep_tradeoff(
     rng: int | None | np.random.Generator = None,
 ) -> TradeoffCurve:
     """Average SE/EE over fading draws for every power on the sweep grid."""
-    if receiver not in ("mf", "dec"):
-        raise ConfigurationError("receiver must be 'mf' or 'dec'")
+    if receiver not in RECEIVERS:
+        raise ConfigurationError(f"receiver must be one of {RECEIVERS}")
     grid = default_sweep_grid(params.max_power) if sweep_powers is None else np.asarray(
         sweep_powers, dtype=float
     )
@@ -99,28 +99,32 @@ def sweep_tradeoff(
         raise ConfigurationError("fading_draws must be >= 1")
     gen = ensure_rng(rng)
 
+    if receiver == "dec" and (reason := decorrelator_load_error(users, codes.processing_gain)):
+        raise ReceiverUnavailableError(reason)
+
+    gain_power = np.stack(
+        [draw_channel(placement, path_loss_exponent, fading, gen).gain_power for _ in range(draws)]
+    )
     if receiver == "mf":
-        coupling_weights = mf_mai_weights(codes.correlation)[0, 1:]
+        # The interest user's own power never enters its MAI; 0 stands in for it.
+        power = np.broadcast_to(np.concatenate(([0.0], others)), gain_power.shape)
+        weights = np.broadcast_to(mf_mai_weights(codes.correlation), (draws, users, users))
+        _, eff_itf = mf_sinr(power, gain_power, weights, params.noise_power)
     else:
-        enhancement0 = float(build_decorrelator(codes).noise_enhancement[0])
+        eff_itf = dec_eff_interference(
+            gain_power, codes.correlation, np.ones(users, dtype=bool), params.noise_power
+        )
 
     se_sum = np.zeros(grid.size)
     ee_sum = np.zeros(grid.size)
     sinr_sum = np.zeros(grid.size)
     interest_gain_sum = 0.0
     interferer_gain_sum = 0.0
-    for _ in range(draws):
-        channel = draw_channel(placement, path_loss_exponent, fading, gen)
-        h2 = channel.gain_power
+    for h2, itf in zip(gain_power, eff_itf[:, 0]):
         interest_gain_sum += h2[0]
         if users > 1:
             interferer_gain_sum += float(np.mean(h2[1:]))
-        if receiver == "mf":
-            mai = float(coupling_weights @ (others * h2[1:])) if users > 1 else 0.0
-            denominator = mai + params.noise_power
-        else:
-            denominator = params.noise_power * enhancement0
-        sinr = grid * (h2[0] / denominator)
+        sinr = grid / itf
         se_sum += spectral_efficiency(sinr, gap0)
         ee_sum += utility(grid, sinr, params, gap0)
         sinr_sum += sinr
@@ -144,7 +148,7 @@ def sweep_tradeoff(
         receiver=receiver,
         fading_draws=draws,
         se_monotone=bool(np.all(np.diff(se) >= 0.0)),
-        ee_unimodal=_scan_unimodal(ee),
+        ee_unimodal=scan_unimodal(ee)[1] is None,
         coupling=coupling,
         coupling_reciprocal=(1.0 / coupling) if users > 1 else float("nan"),
     )

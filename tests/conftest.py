@@ -42,3 +42,15 @@ def codes_from_signs(signs) -> ce.SpreadingCodeSet:
         chips=signs / np.sqrt(float(n)),
         correlation=(signs.T @ signs) / float(n),
     )
+
+
+def run_single(scenario, params, algorithm="alg1", **kwargs) -> ce.BatchControlResult:
+    """One realization through ``run_control_batch``, as a batch of one."""
+    return ce.run_control_batch(
+        scenario.channel.gain_power[None],
+        scenario.codes.correlation[None],
+        scenario.receiver,
+        algorithm,
+        params,
+        **kwargs,
+    )

@@ -16,6 +16,8 @@ from cdma_ee.cli import main as cli_main
 from cdma_ee.harness import ScenarioConfig, run_experiment
 from cdma_ee.seeding import realization_seed
 
+from conftest import run_single
+
 SEED = 20260810
 REALIZATIONS = 200
 WORKERS = 2
@@ -179,8 +181,11 @@ def test_criterion_04_decorrelator_identities():
         if estimate > IDENTITY_COND_LIMIT:
             skipped += 1  # identity not measurable at 1e-10 in float64
             continue
-        bank = ce.build_decorrelator(codes)
-        error = float(np.max(np.abs(bank.filters.T @ bank.filters - inverse)))
+        # the receiver's noise enhancement is the diagonal of D'D, D = S R^-1
+        enhancement = ce.dec_eff_interference(np.ones(k), codes.correlation, np.ones(k, bool), 1.0)
+        assert np.array_equal(enhancement, np.diagonal(inverse))
+        filters = codes.chips @ inverse
+        error = float(np.max(np.abs(filters.T @ filters - inverse)))
         worst = max(worst, error)
         assert error < 1e-10, (k, estimate, error)
         checked += 1
@@ -188,14 +193,19 @@ def test_criterion_04_decorrelator_identities():
 
     params = fig_params()
     scenario = ce.draw_scenario(ce.RingGeometry(50.0, 200.0), 12, 63, "dec", SEED)
-    bank = ce.build_decorrelator(scenario.codes)
-    powers = np.full(12, 1e-3)
-    base = ce.sinr_dec(powers, scenario.channel, bank, params.noise_power)
+    gain = scenario.channel.gain_power
+    everyone = np.ones(12, dtype=bool)
+    base = 1e-3 / ce.dec_eff_interference(
+        gain, scenario.codes.correlation, everyone, params.noise_power
+    )[0]
     for _ in range(20):
-        perturbed = powers.copy()
-        perturbed[1:] = rng.uniform(0.0, 1e-2, size=11)
-        report = ce.sinr_dec(perturbed, scenario.channel, bank, params.noise_power)
-        assert report.sinr[0] == base.sinr[0]  # bit identical
+        # scaling an interferer's gain scales its received power p_j * h_j
+        received = gain.copy()
+        received[1:] *= rng.uniform(0.0, 1e-2, size=11) / 1e-3
+        itf = ce.dec_eff_interference(
+            received, scenario.codes.correlation, everyone, params.noise_power
+        )
+        assert 1e-3 / itf[0] == base  # bit identical
     print(f"ACCEPTANCE 4 PASS: decorrelator identity {worst:.2e} < 1e-10 on "
           f"{checked} code sets ({skipped} beyond the float64 envelope skipped); "
           f"DEC SINR bit-invariant to interferer powers")
@@ -209,10 +219,10 @@ def test_criterion_05_verhulst_convergence():
     scenario = ce.NetworkScenario(
         placement=placement, channel=channel, codes=codes, receiver="mf"
     )
-    outcome = ce.run_algorithm1(scenario, params, iterations=500, alpha=0.5)
+    result = run_single(scenario, params, iterations=500, alpha=0.5)
     itf = params.noise_power / channel.gain_power[0]
     star = ce.optimal_sinr(itf, params, params.gap()).gamma_star
-    single_err = abs(outcome.final_state.sinr[0] - star) / star
+    single_err = abs(result.sinr[0, 0] - star) / star
     assert single_err < 1e-3
 
     multi_checked = 0
@@ -223,11 +233,10 @@ def test_criterion_05_verhulst_convergence():
         scenario = ce.draw_scenario(
             ce.RingGeometry(50.0, 200.0), 4, 63, "mf", realization_seed(SEED, seed)
         )
-        outcome = ce.run_algorithm1(scenario, params)
-        if outcome.removed_users:
+        result = run_single(scenario, params)
+        if result.removed[0]:
             continue
-        state = outcome.final_state
-        rel = np.max(np.abs(state.sinr - state.target_sinr) / state.target_sinr)
+        rel = np.max(np.abs(result.sinr - result.target_sinr) / result.target_sinr)
         worst = max(worst, float(rel))
         assert rel < 1e-3
         multi_checked += 1
@@ -239,7 +248,7 @@ def test_criterion_06_nash_equilibrium_and_uniqueness():
     started = time.perf_counter()
     params = fig_params()
     rng = np.random.default_rng(SEED + 3)
-    runners = {"mf": (4, ce.run_algorithm1), "dec": (6, ce.run_algorithm1)}
+    user_counts = {"mf": 4, "dec": 6}
     checked = 0
     seed = 0
     worst_gain = 0.0
@@ -247,15 +256,17 @@ def test_criterion_06_nash_equilibrium_and_uniqueness():
     while checked < 50:
         seed += 1
         receiver = "mf" if checked % 2 == 0 else "dec"
-        k_users, runner = runners[receiver]
         scenario = ce.draw_scenario(
-            ce.RingGeometry(50.0, 200.0), k_users, 63, receiver, realization_seed(SEED, seed)
+            ce.RingGeometry(50.0, 200.0),
+            user_counts[receiver],
+            63,
+            receiver,
+            realization_seed(SEED, seed),
         )
-        outcome = runner(scenario, params)
-        if outcome.removed_users or not outcome.converged:
+        result = run_single(scenario, params, "alg1")
+        if result.removed[0] or not result.converged[0]:
             continue
-        rerun = lambda start: runner(scenario, params, initial_power=start)
-        report = ce.verify_nash(outcome, scenario, params, rerun=rerun, rng=rng)
+        report = ce.verify_nash(result, scenario, params, algorithm="alg1", rng=rng)
         assert report.equilibrium, report.violations
         assert report.uniqueness_checked and report.uniqueness_ok
         worst_gain = max(worst_gain, report.max_improvement)
@@ -367,14 +378,13 @@ def test_criterion_10_alg2_degenerates_to_alg1():
         scenario = ce.draw_scenario(
             ce.RingGeometry(50.0, 200.0), 10, 15, "mf", realization_seed(SEED, seed)
         )
-        one = ce.run_algorithm1(scenario, params)
-        two = ce.run_algorithm2(scenario, params)
-        assert one.removed_users == two.removed_users
-        active = one.final_state.active
-        if active.any():
-            scale = np.where(one.final_state.power > 0, one.final_state.power, 1.0)
-            assert np.max(np.abs(one.final_state.power - two.final_state.power) / scale) < 1e-12
-        with_removals += bool(one.removed_users)
+        one = run_single(scenario, params, "alg1")
+        two = run_single(scenario, params, "alg2")
+        assert one.removed == two.removed
+        if one.active.any():
+            scale = np.where(one.power > 0, one.power, 1.0)
+            assert np.max(np.abs(one.power - two.power) / scale) < 1e-12
+        with_removals += bool(one.removed[0])
     assert with_removals >= 3  # the removal path itself was exercised
     print(f"ACCEPTANCE 10 PASS: alg2 identical to alg1 on 12 scenarios with "
           f"min-SINR above the EE optimum ({with_removals} exercised removals)")

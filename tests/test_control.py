@@ -5,7 +5,7 @@ import cdma_ee as ce
 from cdma_ee.control import run_control_batch
 from cdma_ee.seeding import realization_seed
 
-from conftest import codes_from_signs
+from conftest import codes_from_signs, run_single
 
 
 def orthogonal_scenario(distances, receiver="mf"):
@@ -53,24 +53,24 @@ def test_verhulst_alpha_validation():
 
 def test_single_user_converges_to_closed_form(fig_params):
     scenario = orthogonal_scenario([50.0])
-    outcome = ce.run_algorithm1(scenario, fig_params, iterations=500, alpha=0.5)
+    result = run_single(scenario, fig_params, iterations=500, alpha=0.5)
     itf = fig_params.noise_power / scenario.channel.gain_power[0]
     star = ce.optimal_sinr(itf, fig_params, fig_params.gap())
-    assert abs(outcome.final_state.sinr[0] - star.gamma_star) / star.gamma_star < 1e-3
-    assert outcome.final_state.power[0] == pytest.approx(star.gamma_star * itf, rel=1e-3)
-    assert outcome.converged and not outcome.removed_users
-    assert outcome.stabilized_iteration is not None
+    assert abs(result.sinr[0, 0] - star.gamma_star) / star.gamma_star < 1e-3
+    assert result.power[0, 0] == pytest.approx(star.gamma_star * itf, rel=1e-3)
+    assert result.converged[0] and not result.removed[0]
+    assert result.stabilized_iteration[0] >= 0
 
 
 def test_multiuser_mf_reaches_simultaneous_fixed_point(fig_params):
     scenario = ce.draw_scenario(ce.RingGeometry(50.0, 200.0), 4, 63, "mf", seed=11)
-    outcome = ce.run_algorithm1(scenario, fig_params)
-    if outcome.removed_users:
+    result = run_single(scenario, fig_params)
+    if result.removed[0]:
         pytest.skip("draw produced an infeasible user; fixed point not defined")
-    state = outcome.final_state
+    active = result.active[0]
     assert np.all(
-        np.abs(state.sinr[state.active] - state.target_sinr[state.active])
-        / state.target_sinr[state.active]
+        np.abs(result.sinr[0, active] - result.target_sinr[0, active])
+        / result.target_sinr[0, active]
         < 1e-3
     )
 
@@ -78,15 +78,7 @@ def test_multiuser_mf_reaches_simultaneous_fixed_point(fig_params):
 def test_power_bounds_hold_at_every_iteration(fig_params):
     scenario = ce.draw_scenario(ce.RingGeometry(50.0, 200.0), 6, 63, "mf", seed=2)
     trajectory = []
-    run_control_batch(
-        scenario.channel.gain_power[None],
-        scenario.codes.correlation[None],
-        "mf",
-        "alg1",
-        fig_params,
-        iterations=120,
-        trajectory=trajectory,
-    )
+    run_single(scenario, fig_params, iterations=120, trajectory=trajectory)
     stacked = np.concatenate(trajectory)
     assert np.all(stacked >= 0.0)
     assert np.all(stacked <= fig_params.max_power)
@@ -110,13 +102,13 @@ def test_forced_removal_of_weak_user(no_circuit_params):
     need_strong = star * 1e-12 / scenario.channel.gain_power[0]
     need_weak = star * 1e-12 / scenario.channel.gain_power[1]
     assert need_strong < params.max_power < need_weak  # scenario sanity
-    outcome = ce.run_algorithm1(scenario, params)
-    assert outcome.removed_users == [1]
-    assert outcome.final_state.power[1] == 0.0
-    assert outcome.final_state.target_sinr[1] == 0.0
-    survivor = outcome.final_state.sinr[0]
+    result = run_single(scenario, params)
+    assert result.removed[0] == [1]
+    assert result.power[0, 1] == 0.0
+    assert result.target_sinr[0, 1] == 0.0
+    survivor = result.sinr[0, 0]
     assert abs(survivor - star) / star < 1e-3
-    assert outcome.rounds == 2
+    assert result.rounds[0] == 2
 
 
 def test_dec_feasible_scenarios_have_no_removals(fig_params):
@@ -124,18 +116,18 @@ def test_dec_feasible_scenarios_have_no_removals(fig_params):
     # per-user cap check fails, verified here elementwise
     for seed in range(5):
         scenario = ce.draw_scenario(ce.RingGeometry(50.0, 200.0), 8, 63, "dec", seed=seed)
-        bank = ce.build_decorrelator(scenario.codes)
-        itf = (
-            fig_params.noise_power
-            * bank.noise_enhancement
-            / scenario.channel.gain_power
+        itf = ce.dec_eff_interference(
+            scenario.channel.gain_power,
+            scenario.codes.correlation,
+            np.ones(8, dtype=bool),
+            fig_params.noise_power,
         )
         stars = np.array(
             [ce.optimal_sinr(i, fig_params, fig_params.gap()).gamma_star for i in itf]
         )
         feasible = np.all(stars * itf <= fig_params.max_power)
-        outcome = ce.run_algorithm1(scenario, fig_params)
-        assert (len(outcome.removed_users) == 0) == feasible
+        result = run_single(scenario, fig_params)
+        assert (len(result.removed[0]) == 0) == feasible
 
 
 def test_alg2_with_zero_min_rate_never_removes():
@@ -150,10 +142,10 @@ def test_alg2_with_zero_min_rate_never_removes():
         min_rate=0.0,
     )
     scenario = orthogonal_scenario([50.0, 2000.0])
-    outcome = ce.run_algorithm2(scenario, params)
-    assert outcome.removed_users == []
+    result = run_single(scenario, params, "alg2")
+    assert result.removed[0] == []
     # the infeasible user sits at the cap instead
-    assert outcome.final_state.power[1] == params.max_power
+    assert result.power[0, 1] == params.max_power
 
 
 def test_alg2_reduces_to_alg1_when_min_sinr_dominates():
@@ -173,13 +165,13 @@ def test_alg2_reduces_to_alg1_when_min_sinr_dominates():
     removal_seen = False
     for seed in range(8):
         scenario = ce.draw_scenario(ce.RingGeometry(50.0, 200.0), 10, 15, "mf", seed=seed)
-        one = ce.run_algorithm1(scenario, params)
-        two = ce.run_algorithm2(scenario, params)
-        removal_seen |= bool(one.removed_users)
-        assert one.removed_users == two.removed_users
-        assert np.array_equal(one.final_state.power, two.final_state.power)
-        assert np.array_equal(one.final_state.sinr, two.final_state.sinr)
-        assert one.rounds == two.rounds
+        one = run_single(scenario, params, "alg1")
+        two = run_single(scenario, params, "alg2")
+        removal_seen |= bool(one.removed[0])
+        assert one.removed == two.removed
+        assert np.array_equal(one.power, two.power)
+        assert np.array_equal(one.sinr, two.sinr)
+        assert np.array_equal(one.rounds, two.rounds)
     assert removal_seen  # the equivalence was exercised on the removal path
 
 
@@ -197,11 +189,11 @@ def test_alg2_keeps_user_that_meets_min_rate(fig_params):
         min_rate=1e4,
     )
     scenario = orthogonal_scenario([50.0, 60.0, 2000.0])
-    one = ce.run_algorithm1(scenario, params)
-    two = ce.run_algorithm2(scenario, params)
-    assert one.removed_users == [2]
-    assert two.removed_users == []
-    assert two.final_state.power[2] == params.max_power
+    one = run_single(scenario, params, "alg1")
+    two = run_single(scenario, params, "alg2")
+    assert one.removed[0] == [2]
+    assert two.removed[0] == []
+    assert two.power[0, 2] == params.max_power
     cap_sinr = params.max_power * scenario.channel.gain_power[2] / params.noise_power
     cap_rate = params.bandwidth * np.log2(1.0 + params.gap() * cap_sinr)
     assert cap_rate >= params.min_rate
@@ -209,11 +201,11 @@ def test_alg2_keeps_user_that_meets_min_rate(fig_params):
 
 def test_baseline_matches_alg1_when_all_feasible(fig_params):
     scenario = orthogonal_scenario([50.0, 80.0])
-    one = ce.run_algorithm1(scenario, fig_params)
-    base = ce.run_baseline(scenario, fig_params)
-    assert one.removed_users == [] and base.removed_users == []
-    assert np.array_equal(one.final_state.power, base.final_state.power)
-    assert np.array_equal(one.final_state.sinr, base.final_state.sinr)
+    one = run_single(scenario, fig_params, "alg1")
+    base = run_single(scenario, fig_params, "baseline")
+    assert one.removed[0] == [] and base.removed[0] == []
+    assert np.array_equal(one.power, base.power)
+    assert np.array_equal(one.sinr, base.sinr)
 
 
 def test_baseline_pins_infeasible_user_at_max_power():
@@ -227,13 +219,13 @@ def test_baseline_pins_infeasible_user_at_max_power():
         ber=1e-3,
     )
     scenario = orthogonal_scenario([50.0, 2000.0])
-    outcome = ce.run_baseline(scenario, params)
-    assert outcome.removed_users == []
-    assert outcome.final_state.power[1] == params.max_power
+    result = run_single(scenario, params, "baseline")
+    assert result.removed[0] == []
+    assert result.power[0, 1] == params.max_power
     # orthogonal codes: the feasible user still converges to its own target
     itf = params.noise_power / scenario.channel.gain_power[0]
     star = ce.optimal_sinr(itf, params, params.gap()).gamma_star
-    assert abs(outcome.final_state.sinr[0] - star) / star < 1e-3
+    assert abs(result.sinr[0, 0] - star) / star < 1e-3
 
 
 def test_baseline_correlated_fixed_point_oracle(fig_params):
@@ -251,8 +243,8 @@ def test_baseline_correlated_fixed_point_oracle(fig_params):
     scenario = ce.draw_scenario(
         ce.FixedGeometry(50.0, (60.0, 2000.0)), 3, 15, "mf", seed=4, fading="none"
     )
-    outcome = ce.run_baseline(scenario, params)
-    assert outcome.final_state.power[2] == params.max_power
+    result = run_single(scenario, params, "baseline")
+    assert result.power[0, 2] == params.max_power
     gap = params.gap()
     weights = scenario.codes.correlation**2
     np.fill_diagonal(weights, 0.0)
@@ -264,7 +256,7 @@ def test_baseline_correlated_fixed_point_oracle(fig_params):
         for k in (0, 1):
             star = ce.optimal_sinr(itf[k], params, gap).gamma_star
             powers[k] = min(star * itf[k], params.max_power)
-    assert outcome.final_state.power[:2] == pytest.approx(powers[:2], rel=1e-3)
+    assert result.power[0, :2] == pytest.approx(powers[:2], rel=1e-3)
 
 
 def test_baseline_sum_power_dominates_alg1(fig_params):
@@ -278,9 +270,9 @@ def test_baseline_sum_power_dominates_alg1(fig_params):
         ber=1e-3,
     )
     scenario = orthogonal_scenario([50.0, 2000.0])
-    base = ce.run_baseline(scenario, params)
-    one = ce.run_algorithm1(scenario, params)
-    assert base.final_state.power.sum() >= one.final_state.power.sum()
+    base = run_single(scenario, params, "baseline")
+    one = run_single(scenario, params, "alg1")
+    assert base.power.sum() >= one.power.sum()
 
 
 def test_removal_order_worst_gain_first():
@@ -295,11 +287,11 @@ def test_removal_order_worst_gain_first():
         ber=1e-3,
     )
     scenario = orthogonal_scenario([50.0, 80.0, 120.0])
-    outcome = ce.run_algorithm1(scenario, params)
-    assert outcome.removed_users == [2, 1, 0]
-    assert not outcome.final_state.active.any()
-    assert outcome.converged  # empty network is a valid, flagged outcome
-    assert outcome.rounds == 3
+    result = run_single(scenario, params)
+    assert result.removed[0] == [2, 1, 0]
+    assert not result.active.any()
+    assert result.converged[0]  # empty network is a valid, flagged outcome
+    assert result.rounds[0] == 3
 
 
 def test_dec_removal_never_raises_survivor_noise_enhancement():
@@ -307,23 +299,24 @@ def test_dec_removal_never_raises_survivor_noise_enhancement():
     for _ in range(100):
         k = int(rng.integers(3, 20))
         codes = ce.generate_codes(31, k, rng)
-        bank_full = ce.build_decorrelator(codes)
+        everyone = np.ones(k, dtype=bool)
+        full = ce.dec_eff_interference(np.ones(k), codes.correlation, everyone, 1.0)
         drop = int(rng.integers(0, k))
-        keep = np.ones(k, dtype=bool)
+        keep = everyone.copy()
         keep[drop] = False
-        bank_sub = ce.build_decorrelator(codes.subset(keep))
-        assert np.all(bank_sub.noise_enhancement <= bank_full.noise_enhancement[keep] + 1e-12)
+        sub = ce.dec_eff_interference(np.ones(k), codes.correlation, keep, 1.0)
+        assert np.all(sub <= full[keep] + 1e-12)
 
 
 def test_control_outcome_determinism(fig_params):
     scenario = ce.draw_scenario(ce.RingGeometry(50.0, 200.0), 7, 63, "mf", seed=21)
-    a = ce.run_algorithm1(scenario, fig_params)
-    b = ce.run_algorithm1(scenario, fig_params)
-    assert np.array_equal(a.final_state.power, b.final_state.power)
-    assert np.array_equal(a.final_state.sinr, b.final_state.sinr)
-    assert a.removed_users == b.removed_users
-    assert a.rounds == b.rounds
-    assert a.stabilized_iteration == b.stabilized_iteration
+    a = run_single(scenario, fig_params)
+    b = run_single(scenario, fig_params)
+    assert np.array_equal(a.power, b.power)
+    assert np.array_equal(a.sinr, b.sinr)
+    assert a.removed == b.removed
+    assert np.array_equal(a.rounds, b.rounds)
+    assert np.array_equal(a.stabilized_iteration, b.stabilized_iteration)
 
 
 def test_batch_rows_match_single_runs(fig_params):
@@ -335,11 +328,11 @@ def test_batch_rows_match_single_runs(fig_params):
     corr = np.stack([s.codes.correlation for s in scenarios])
     batch = run_control_batch(gain, corr, "mf", "alg1", fig_params)
     for b, scenario in enumerate(scenarios):
-        single = ce.run_algorithm1(scenario, fig_params)
-        assert np.array_equal(single.final_state.power, batch.power[b])
-        assert np.array_equal(single.final_state.sinr, batch.sinr[b])
-        assert single.removed_users == batch.removed[b]
-        assert single.rounds == batch.rounds[b]
+        single = run_single(scenario, fig_params)
+        assert np.array_equal(single.power[0], batch.power[b])
+        assert np.array_equal(single.sinr[0], batch.sinr[b])
+        assert single.removed[0] == batch.removed[b]
+        assert single.rounds[0] == batch.rounds[b]
 
 
 def test_batch_composition_does_not_change_rows(fig_params):
@@ -375,4 +368,4 @@ def test_algorithm_and_receiver_validation(fig_params):
             fig_params,
         )
     with pytest.raises(ce.ConfigurationError):
-        ce.run_algorithm1(scenario, fig_params, iterations=0)
+        run_single(scenario, fig_params, iterations=0)

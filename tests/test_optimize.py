@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import cdma_ee as ce
 from cdma_ee.optimize import _stationarity
+
+from conftest import run_single
 
 
 def make_params(packet_bits=80, info_bits=50, circuit_power=0.0, ber=1e-3):
@@ -213,60 +217,85 @@ def nash_setup(seed, k_users=5, receiver="mf"):
     scenario = ce.draw_scenario(
         ce.RingGeometry(50.0, 200.0), k_users, 63, receiver, seed
     )
-    outcome = ce.run_algorithm1(scenario, params)
-    return scenario, params, outcome
+    result = run_single(scenario, params)
+    return scenario, params, result
 
 
 def no_removal_seed(k_users=5, receiver="mf", start=0):
     seed = start
     while True:
-        scenario, params, outcome = nash_setup(seed, k_users, receiver)
-        if not outcome.removed_users and outcome.converged:
-            return scenario, params, outcome
+        scenario, params, result = nash_setup(seed, k_users, receiver)
+        if not result.removed[0] and result.converged[0]:
+            return scenario, params, result
         seed += 1
 
 
 def test_verify_nash_single_user():
-    scenario, params, outcome = nash_setup(3, k_users=1)
-    assert not outcome.removed_users
-    rerun = lambda start: ce.run_algorithm1(scenario, params, initial_power=start)
-    report = ce.verify_nash(outcome, scenario, params, rerun=rerun, rng=np.random.default_rng(0))
+    scenario, params, result = nash_setup(3, k_users=1)
+    assert not result.removed[0]
+    report = ce.verify_nash(
+        result, scenario, params, algorithm="alg1", rng=np.random.default_rng(0)
+    )
     assert report.equilibrium
     assert report.uniqueness_checked and report.uniqueness_ok
 
 
 def test_verify_nash_converged_multiuser():
-    scenario, params, outcome = no_removal_seed()
-    rerun = lambda start: ce.run_algorithm1(scenario, params, initial_power=start)
-    report = ce.verify_nash(outcome, scenario, params, rerun=rerun, rng=np.random.default_rng(1))
+    scenario, params, result = no_removal_seed()
+    report = ce.verify_nash(
+        result, scenario, params, algorithm="alg1", rng=np.random.default_rng(1)
+    )
     assert report.equilibrium, report.violations
     assert report.max_improvement < 1e-6
     assert report.uniqueness_checked and report.uniqueness_ok
 
 
-def test_verify_nash_flags_perturbed_user():
-    scenario, params, outcome = no_removal_seed()
-    state = outcome.final_state
-    powers = state.power.copy()
-    powers[0] = min(2.0 * powers[0], params.max_power)
-    bank_report = ce.sinr_mf(
-        powers, scenario.channel, scenario.codes, params.noise_power
+@pytest.mark.parametrize("receiver", ["mf", "dec"])
+def test_verify_nash_batched_restarts_match_single_runs(receiver):
+    # the restarts run as one batch; each row must end where a batch-of-one
+    # run from the same start ends, so the reported deviation is theirs
+    scenario, params, result = no_removal_seed(receiver=receiver)
+    restarts = 3
+    report = ce.verify_nash(
+        result, scenario, params, algorithm="alg1", restarts=restarts,
+        rng=np.random.default_rng(2),
     )
-    perturbed = ce.ControlOutcome(
-        final_state=ce.PowerState(
-            power=powers,
-            active=state.active.copy(),
-            sinr=bank_report.sinr,
-            target_sinr=state.target_sinr.copy(),
-            iteration=state.iteration,
-        ),
-        removed_users=[],
-        converged=True,
-        rounds=1,
-        stabilized_iteration=None,
-        eff_interference=bank_report.eff_interference,
-        target_flagged=False,
-        power_change=0.0,
+    draws = np.random.default_rng(2).uniform(-4.0, 0.0, size=(restarts, scenario.user_count))
+    starts = params.noise_power * 10.0**draws
+    batch = ce.run_control_batch(
+        np.repeat(scenario.channel.gain_power[None], restarts, axis=0),
+        np.repeat(scenario.codes.correlation[None], restarts, axis=0),
+        receiver,
+        "alg1",
+        params,
+        initial_power=starts,
+    )
+    reference = result.power[0]
+    scale = np.where(reference > 0.0, reference, 1.0)
+    deviation = 0.0
+    for r, start in enumerate(starts):
+        single = run_single(scenario, params, initial_power=start[None])
+        assert np.array_equal(single.power[0], batch.power[r])
+        assert single.removed[0] == batch.removed[r]
+        deviation = max(deviation, float(np.max(np.abs(single.power[0] - reference) / scale)))
+    assert report.restart_max_deviation == deviation
+
+
+def test_verify_nash_flags_perturbed_user():
+    scenario, params, result = no_removal_seed()
+    powers = result.power.copy()
+    powers[0, 0] = min(2.0 * powers[0, 0], params.max_power)
+    sinr, eff_interference = ce.mf_sinr(
+        powers,
+        scenario.channel.gain_power[None],
+        ce.mf_mai_weights(scenario.codes.correlation)[None],
+        params.noise_power,
+    )
+    perturbed = dataclasses.replace(
+        result,
+        power=powers,
+        sinr=sinr,
+        eff_interference=eff_interference,
     )
     report = ce.verify_nash(perturbed, scenario, params)
     assert not report.equilibrium
@@ -274,7 +303,7 @@ def test_verify_nash_flags_perturbed_user():
 
 
 def test_verify_nash_rejects_nonconverged():
-    scenario, params, outcome = no_removal_seed()
-    outcome.converged = False
+    scenario, params, result = no_removal_seed()
+    stalled = dataclasses.replace(result, converged=np.array([False]))
     with pytest.raises(ce.NotConvergedError):
-        ce.verify_nash(outcome, scenario, params)
+        ce.verify_nash(stalled, scenario, params)

@@ -45,10 +45,13 @@ def test_curve_shape_flags_and_cross_module_consistency(fig_params):
     # the EE peak on the grid agrees with the stationarity solver through the
     # best-response map, within one grid step
     channel = ce.draw_channel(placement, 2.0, "none")
-    report = ce.sinr_mf(
-        np.array([0.0, 1e-2, 1e-2]), channel, codes, fig_params.noise_power
+    _, eff_interference = ce.mf_sinr(
+        np.array([[0.0, 1e-2, 1e-2]]),
+        channel.gain_power[None],
+        ce.mf_mai_weights(codes.correlation)[None],
+        fig_params.noise_power,
     )
-    itf = report.eff_interference[0]
+    itf = eff_interference[0, 0]
     star = ce.optimal_sinr(itf, fig_params, fig_params.gap())
     response = ce.best_response_power(star.gamma_star, itf, fig_params.max_power)
     step = curve.powers[1] / curve.powers[0]
