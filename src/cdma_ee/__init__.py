@@ -54,6 +54,6 @@ from .spreading import (
     mf_mai_weights,
     mf_sinr,
 )
-from .tradeoff import TradeoffCurve, default_sweep_grid, gap_lambda, sweep_tradeoff
+from .tradeoff import TradeoffCurve, default_sweep_grid, sweep_tradeoff
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -9,13 +9,14 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .channel import FixedGeometry, draw_placement
-from .control import ALGORITHMS, run_control_batch
+from .control import ALGORITHMS
 from .errors import (
     ConfigurationError,
     NoInteriorMaximumError,
@@ -23,6 +24,8 @@ from .errors import (
     ReceiverUnavailableError,
 )
 from .harness import (
+    PairedVerdict,
+    ScenarioConfig,
     config_from_dict,
     emit_results,
     expand_variants,
@@ -30,12 +33,12 @@ from .harness import (
     paired_comparison,
     read_report,
     run_experiment,
+    run_realizations,
 )
 from .metrics import rate, utility
-from .scenario import RECEIVERS, draw_scenario
-from .seeding import realization_seed
+from .scenario import RECEIVERS
 from .spreading import decorrelator_load_error, generate_codes
-from .tradeoff import sweep_tradeoff
+from .tradeoff import default_sweep_grid, sweep_tradeoff
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -53,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="config file path or preset name")
     common.add_argument("--seed", type=int, help="override the master seed")
-    common.add_argument("--out", help="override the output directory")
+    common.add_argument("--out", dest="output_dir", help="override the output directory")
     common.add_argument("--receiver", choices=RECEIVERS, help="override the receiver")
     common.add_argument("--algorithm", choices=ALGORITHMS, help="override the algorithm")
 
@@ -74,32 +77,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(data: dict, args) -> dict:
-    data = dict(data)
-    if getattr(args, "seed", None) is not None:
-        data["seed"] = args.seed
-    if getattr(args, "realizations", None) is not None:
-        data["realizations"] = args.realizations
-    if getattr(args, "out", None) is not None:
-        data["output_dir"] = args.out
-    system = dict(data.get("system", {}))
-    if getattr(args, "receiver", None) is not None:
-        system["receiver"] = args.receiver
-    if getattr(args, "algorithm", None) is not None:
-        system["algorithm"] = args.algorithm
-    if system:
-        data["system"] = system
-    return data
+def _overrides(args) -> dict:
+    """Config fields set on the command line, by field name."""
+    names = (f.name for f in fields(ScenarioConfig))
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
 
 def _cmd_run(args) -> int:
-    base = load_config_data(args.config)
-    for label, document in expand_variants(base):
-        document = _apply_overrides(document, args)
-        config = config_from_dict(document)
+    variants = expand_variants(load_config_data(args.config))
+    for label, document in variants:
+        config = config_from_dict(document, _overrides(args))
         report = run_experiment(config)
         target = Path(config.output_dir)
-        if len(expand_variants(base)) > 1:
+        if len(variants) > 1:
             target = target / label
         paths = emit_results(report, target)
         print(f"[{label}] {len(report.rows)} realizations -> {paths['raw'].parent}")
@@ -109,8 +99,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_tradeoff(args) -> int:
-    document = _apply_overrides(load_config_data(args.config), args)
-    config = config_from_dict(document)
+    config = config_from_dict(load_config_data(args.config), _overrides(args))
     settings = config.tradeoff
     params = config.ee_params()
     out = Path(config.output_dir)
@@ -130,9 +119,7 @@ def _cmd_tradeoff(args) -> int:
             params,
             config.receiver,
             settings.interferer_power,
-            sweep_powers=np.geomspace(
-                1e-6 * params.max_power, params.max_power, settings.sweep_points
-            ),
+            sweep_powers=default_sweep_grid(params.max_power, settings.sweep_points),
             fading=config.fading,
             fading_draws=settings.fading_draws,
             path_loss_exponent=config.path_loss_exponent,
@@ -175,51 +162,29 @@ def _cmd_compare(args) -> int:
     report_a = read_report(args.a)
     report_b = read_report(args.b)
     verdicts = paired_comparison(report_a, report_b, args.metric)
-    lines = []
     for v in verdicts:
-        lines.append(
+        print(
             f"K={v.k_users}: mean diff {v.mean_diff:.6g} "
             f"[{v.ci_low:.6g}, {v.ci_high:.6g}] -> {v.verdict}"
         )
-        print(lines[-1])
     if args.out:
         with Path(args.out).open("w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(["k_users", "samples", "mean_diff", "ci_low", "ci_high", "verdict"])
+            writer.writerow([f.name for f in fields(PairedVerdict)])
             for v in verdicts:
-                writer.writerow(
-                    [v.k_users, v.samples, repr(v.mean_diff), repr(v.ci_low), repr(v.ci_high), v.verdict]
-                )
+                writer.writerow([repr(x) if isinstance(x, float) else x for x in astuple(v)])
     return 0
 
 
 def _cmd_solve(args) -> int:
-    document = _apply_overrides(load_config_data(args.config), args)
-    config = config_from_dict(document)
+    config = config_from_dict(load_config_data(args.config), _overrides(args))
     k_users = args.k if args.k is not None else config.user_counts[0]
     reason = decorrelator_load_error(k_users, config.processing_gain)
     if config.receiver == "dec" and reason:
         raise ConfigurationError(reason)
     params = config.ee_params()
-    scenario = draw_scenario(
-        config.geometry,
-        k_users,
-        config.processing_gain,
-        config.receiver,
-        realization_seed(config.seed, args.realization),
-        config.path_loss_exponent,
-        config.fading,
-    )
-    result = run_control_batch(
-        scenario.channel.gain_power[None],
-        scenario.codes.correlation[None],
-        config.receiver,
-        config.algorithm,
-        params,
-        iterations=config.iterations,
-        alpha=config.alpha,
-        resolve_each_iteration=config.resolve_targets_each_iteration,
-    )
+    scenarios, _, result = run_realizations(config, k_users, [args.realization])
+    scenario = scenarios[0]
     if result.failed[0]:
         raise ReceiverUnavailableError(result.failure_reasons[0])
     power, sinr, target, active = (

@@ -34,6 +34,7 @@ from .metrics import EEParams, rate, utility
 from .optimize import solve_optimal_sinr_batch
 from .scenario import RECEIVERS, NetworkScenario
 from .spreading import dec_eff_interference, mf_mai_weights, mf_sinr
+from .tradeoff import default_sweep_grid
 
 ALGORITHMS = ("alg1", "alg2", "baseline")
 
@@ -340,7 +341,7 @@ def verify_nash(
     user_count = power.size
     gap = np.broadcast_to(np.asarray(params.gap(), dtype=float), (user_count,))
 
-    grid = np.geomspace(1e-6 * params.max_power, params.max_power, deviation_points)
+    grid = default_sweep_grid(params.max_power, deviation_points)
     violations: list[tuple[int, float, float]] = []
     max_improvement = 0.0
     for k in np.flatnonzero(active):

@@ -16,10 +16,12 @@ import csv
 import hashlib
 import json
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -36,37 +38,6 @@ from .spreading import decorrelator_load_error
 
 WORKERS_ENV_VAR = "CDMA_EE_WORKERS"
 
-RAW_COLUMNS = [
-    "k_users",
-    "realization",
-    "seed",
-    "sum_rate_bit_per_s",
-    "sum_power_w",
-    "sum_power_incl_removed_circuit_w",
-    "global_ee_bit_per_joule",
-    "outage_fraction",
-    "removed_count",
-    "removed_order",
-    "rounds",
-    "converged",
-    "stabilized_iteration",
-    "target_flagged",
-    "draw_checksum",
-]
-
-AGGREGATE_COLUMNS = [
-    "k_users",
-    "realizations",
-    "failed_realizations",
-    "mean_sum_rate_bit_per_s",
-    "mean_sum_power_w",
-    "mean_sum_power_incl_removed_circuit_w",
-    "mean_global_ee_bit_per_joule",
-    "mean_outage_probability",
-    "mean_removed_count",
-    "converged_fraction",
-]
-
 METRIC_FIELDS = {
     "sum_rate": "sum_rate",
     "sum_power": "sum_power",
@@ -80,15 +51,32 @@ METRIC_FIELDS = {
 # they select the scheme under test without touching the random draws.
 PAIRABLE_KEYS = {"name", "output_dir", "workers", "algorithm", "receiver", "min_rate"}
 
+# The sections of a YAML config document, and the key of a geometry's kind.
+SYSTEM, RADIO, CONTROL, KIND = "system", "radio", "control", "kind"
+# Geometry kind -> its class and the document key of each of its fields.
+GEOMETRIES = {
+    "ring": (RingGeometry, ("inner_radius_m", "outer_radius_m")),
+    "fixed": (FixedGeometry, ("interest_distance_m", "interferer_distances_m")),
+}
+
+
+def _key(default, section: str | None = None, key: str | None = None, power: bool = False):
+    """A config field at YAML ``key`` (default: its name) in ``section`` (default:
+    the top level); a power is given as ``<key>_dbm`` or ``<key>_w`` and held in
+    watts.  The echo in ``metadata.json`` keys every field by its name."""
+    return field(default=default, metadata={"section": section, "key": key, "power": power})
+
 
 @dataclass(frozen=True)
 class TradeoffSettings:
     """Sweep configuration for the EE-SE trade-off scenario family."""
 
-    interest_distance: float = 50.0
-    interferer_distances: tuple[float, ...] = (200.0, 100.0, 80.0)
+    interest_distance: float = _key(50.0, key="interest_distance_m")
+    interferer_distances: tuple[float, ...] = _key(
+        (200.0, 100.0, 80.0), key="interferer_distances_m"
+    )
     user_count: int = 3
-    interferer_power: float = 1e-2
+    interferer_power: float = _key(1e-2, power=True)
     sweep_points: int = 400
     fading_draws: int = 5000
 
@@ -102,68 +90,50 @@ class ScenarioConfig:
     realizations: int = 200
     workers: int = 0
     output_dir: str = "results"
-    processing_gain: int = 63
-    user_counts: tuple[int, ...] = tuple(range(2, 16))
-    receiver: str = "mf"
-    algorithm: str = "alg1"
-    geometry: Geometry = RingGeometry(50.0, 200.0)
-    path_loss_exponent: float = 2.0
-    fading: str = "rayleigh"
-    bandwidth: float = 1e6
-    noise_power: float = 1e-12
-    max_power: float = 1e-2
-    circuit_power: float = dbm_to_watt(7.0)
-    packet_bits: int = 80
-    info_bits: int = 50
-    ber: float = 1e-3
-    min_rate: float = 5e5
-    alpha: float = 0.5
-    iterations: int = 500
-    resolve_targets_each_iteration: bool = True
-    count_removed_circuit_power: bool = False
+    processing_gain: int = _key(63, SYSTEM)
+    user_counts: tuple[int, ...] = _key(tuple(range(2, 16)), SYSTEM)
+    receiver: str = _key("mf", SYSTEM)
+    algorithm: str = _key("alg1", SYSTEM)
+    geometry: Geometry = _key(RingGeometry(50.0, 200.0), SYSTEM)
+    path_loss_exponent: float = _key(2.0, SYSTEM)
+    fading: str = _key("rayleigh", SYSTEM)
+    bandwidth: float = _key(1e6, RADIO, "bandwidth_hz")
+    noise_power: float = _key(1e-12, RADIO, power=True)
+    max_power: float = _key(1e-2, RADIO, power=True)
+    circuit_power: float = _key(dbm_to_watt(7.0), RADIO, power=True)
+    packet_bits: int = _key(80, RADIO)
+    info_bits: int = _key(50, RADIO)
+    ber: float = _key(1e-3, RADIO)
+    min_rate: float = _key(5e5, RADIO, "min_rate_bps")
+    alpha: float = _key(0.5, CONTROL)
+    iterations: int = _key(500, CONTROL)
+    resolve_targets_each_iteration: bool = _key(True, CONTROL)
+    count_removed_circuit_power: bool = _key(False, CONTROL)
     tradeoff: TradeoffSettings = TradeoffSettings()
 
     def __post_init__(self):
-        if self.realizations < 1:
-            raise ConfigurationError("realizations must be >= 1")
-        if self.receiver not in RECEIVERS:
-            raise ConfigurationError(f"receiver must be one of {RECEIVERS}")
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigurationError(f"algorithm must be one of {ALGORITHMS}")
-        if not self.user_counts or any(k < 1 for k in self.user_counts):
-            raise ConfigurationError("user_counts must be positive")
-        self.ee_params()  # validates the physical quantities
+        checks = {
+            "realizations": (self.realizations >= 1, "must be >= 1"),
+            "processing_gain": (self.processing_gain >= 1, "must be >= 1"),
+            "receiver": (self.receiver in RECEIVERS, f"must be one of {RECEIVERS}"),
+            "algorithm": (self.algorithm in ALGORITHMS, f"must be one of {ALGORITHMS}"),
+            "user_counts": (min(self.user_counts, default=0) >= 1, "must be positive"),
+        }
+        for name, (ok, need) in checks.items():
+            if not ok:
+                section = self.__dataclass_fields__[name].metadata.get("section")
+                raise ConfigurationError(f"{_path(section, name)} {need}")
+        try:
+            self.ee_params()
+        except ValueError as exc:  # every EEParams quantity lives under radio:
+            raise ConfigurationError(f"{RADIO}: {exc}") from exc
 
     def ee_params(self) -> EEParams:
-        return EEParams(
-            packet_bits=self.packet_bits,
-            info_bits=self.info_bits,
-            circuit_power=self.circuit_power,
-            bandwidth=self.bandwidth,
-            max_power=self.max_power,
-            noise_power=self.noise_power,
-            ber=self.ber,
-            min_rate=self.min_rate,
-        )
+        return EEParams(**{f.name: getattr(self, f.name) for f in fields(EEParams)})
 
     def echo_dict(self) -> dict:
         """Canonical plain-dict form for metadata and hashing."""
-        data = asdict(self)
-        if isinstance(self.geometry, RingGeometry):
-            data["geometry"] = {
-                "kind": "ring",
-                "inner_radius_m": self.geometry.inner_radius,
-                "outer_radius_m": self.geometry.outer_radius,
-            }
-        else:
-            data["geometry"] = {
-                "kind": "fixed",
-                "interest_distance_m": self.geometry.interest_distance,
-                "interferer_distances_m": list(self.geometry.interferer_distances),
-            }
-        data["user_counts"] = list(self.user_counts)
-        data["tradeoff"]["interferer_distances"] = list(self.tradeoff.interferer_distances)
-        return data
+        return _echo(self)
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.echo_dict(), sort_keys=True)
@@ -172,15 +142,18 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class RealizationRecord:
-    """Metrics of one finished realization."""
+    """Metrics of one finished realization; a field's ``raw.csv`` column is its
+    name unless its metadata names another."""
 
     k_users: int
     realization: int
     seed: int
-    sum_rate: float
-    sum_power: float
-    sum_power_incl_removed_circuit: float
-    global_ee: float
+    sum_rate: float = field(metadata={"column": "sum_rate_bit_per_s"})
+    sum_power: float = field(metadata={"column": "sum_power_w"})
+    sum_power_incl_removed_circuit: float = field(
+        metadata={"column": "sum_power_incl_removed_circuit_w"}
+    )
+    global_ee: float = field(metadata={"column": "global_ee_bit_per_joule"})
     outage_fraction: float
     removed_count: int
     removed_order: tuple[int, ...]
@@ -189,6 +162,40 @@ class RealizationRecord:
     stabilized_iteration: int | None
     target_flagged: bool
     draw_checksum: str
+
+
+def _parser(hint):
+    """Parser of a ``raw.csv`` cell's text into a field of type ``hint``."""
+    args = get_args(hint)
+    if type(None) in args:
+        inner = _parser(next(a for a in args if a is not type(None)))
+        return lambda text: None if text == "" else inner(text)
+    if get_origin(hint) is tuple:
+        item = _parser(args[0])
+        return lambda text: tuple(item(u) for u in text.split(";") if u != "")
+    if hint is bool:
+        return {"true": True, "false": False}.__getitem__
+    return hint
+
+
+# (raw.csv column, record field, cell parser), in column order.
+_RAW_SCHEMA = [
+    (f.metadata.get("column", f.name), f.name, _parser(hint))
+    for f, hint in zip(fields(RealizationRecord), get_type_hints(RealizationRecord).values())
+]
+RAW_COLUMNS = [column for column, _, _ in _RAW_SCHEMA]
+
+# aggregate.csv column of each per-K mean -> the record field it averages.
+AGGREGATE_MEANS = {
+    "mean_sum_rate_bit_per_s": "sum_rate",
+    "mean_sum_power_w": "sum_power",
+    "mean_sum_power_incl_removed_circuit_w": "sum_power_incl_removed_circuit",
+    "mean_global_ee_bit_per_joule": "global_ee",
+    "mean_outage_probability": "outage_fraction",
+    "mean_removed_count": "removed_count",
+    "converged_fraction": "converged",
+}
+AGGREGATE_COLUMNS = ["k_users", "realizations", "failed_realizations", *AGGREGATE_MEANS]
 
 
 @dataclass
@@ -201,61 +208,33 @@ class RunReport:
     errors: list[dict]
     version: str = __version__
 
-    @property
-    def seed(self) -> int:
-        return self.config.seed
-
     def rows_for(self, k_users: int) -> list[RealizationRecord]:
         return [row for row in self.rows if row.k_users == k_users]
 
     def aggregate_for(self, k_users: int) -> dict | None:
-        for entry in self.aggregates:
-            if entry["k_users"] == k_users:
-                return entry
-        return None
+        return next((entry for entry in self.aggregates if entry["k_users"] == k_users), None)
 
 
 def aggregate_rows(rows: list[RealizationRecord], errors: list[dict]) -> list[dict]:
     """Arithmetic means of the raw rows, one entry per K."""
-    failures: dict[int, int] = {}
-    for err in errors:
-        if "realization" in err:
-            failures[err["k_users"]] = failures.get(err["k_users"], 0) + 1
+    failures = Counter(err["k_users"] for err in errors if "realization" in err)
     by_k: dict[int, list[RealizationRecord]] = {}
     for row in rows:
         by_k.setdefault(row.k_users, []).append(row)
     aggregates = []
     for k_users in sorted(by_k):
         group = by_k[k_users]
-        aggregates.append(
-            {
-                "k_users": k_users,
-                "realizations": len(group),
-                "failed_realizations": failures.get(k_users, 0),
-                "mean_sum_rate_bit_per_s": float(np.mean([r.sum_rate for r in group])),
-                "mean_sum_power_w": float(np.mean([r.sum_power for r in group])),
-                "mean_sum_power_incl_removed_circuit_w": float(
-                    np.mean([r.sum_power_incl_removed_circuit for r in group])
-                ),
-                "mean_global_ee_bit_per_joule": float(np.mean([r.global_ee for r in group])),
-                "mean_outage_probability": float(np.mean([r.outage_fraction for r in group])),
-                "mean_removed_count": float(np.mean([r.removed_count for r in group])),
-                "converged_fraction": float(np.mean([1.0 if r.converged else 0.0 for r in group])),
-            }
-        )
+        counts = [k_users, len(group), failures.get(k_users, 0)]
+        means = [float(np.mean([getattr(r, f) for r in group])) for f in AGGREGATE_MEANS.values()]
+        aggregates.append(dict(zip(AGGREGATE_COLUMNS, counts + means)))
     return aggregates
 
 
-def _run_chunk(config: ScenarioConfig, k_users: int, realizations: list[int]):
-    """Draw and run a block of realizations at one K (worker entry point)."""
-    params = config.ee_params()
-    gap_row = np.broadcast_to(np.asarray(params.gap(), dtype=float), (k_users,))
-    scenarios = []
-    checksums = []
-    seeds = []
-    for r in realizations:
-        seed = realization_seed(config.seed, r)
-        scenario = draw_scenario(
+def run_realizations(config: ScenarioConfig, k_users: int, realizations: list[int]):
+    """Draw realizations at one K and run the configured scheme on them as one batch."""
+    seeds = [realization_seed(config.seed, r) for r in realizations]
+    scenarios = [
+        draw_scenario(
             config.geometry,
             k_users,
             config.processing_gain,
@@ -264,22 +243,26 @@ def _run_chunk(config: ScenarioConfig, k_users: int, realizations: list[int]):
             config.path_loss_exponent,
             config.fading,
         )
-        scenarios.append(scenario)
-        checksums.append(scenario_checksum(scenario))
-        seeds.append(seed)
-
-    gain_power = np.stack([s.channel.gain_power for s in scenarios])
-    correlation = np.stack([s.codes.correlation for s in scenarios])
+        for seed in seeds
+    ]
     result = run_control_batch(
-        gain_power,
-        correlation,
+        np.stack([s.channel.gain_power for s in scenarios]),
+        np.stack([s.codes.correlation for s in scenarios]),
         config.receiver,
         config.algorithm,
-        params,
+        config.ee_params(),
         iterations=config.iterations,
         alpha=config.alpha,
         resolve_each_iteration=config.resolve_targets_each_iteration,
     )
+    return scenarios, seeds, result
+
+
+def _run_chunk(config: ScenarioConfig, k_users: int, realizations: list[int]):
+    """Draw and run a block of realizations at one K (worker entry point)."""
+    params = config.ee_params()
+    gap_row = np.broadcast_to(np.asarray(params.gap(), dtype=float), (k_users,))
+    scenarios, seeds, result = run_realizations(config, k_users, realizations)
 
     records: list[RealizationRecord] = []
     errors: list[dict] = []
@@ -323,7 +306,7 @@ def _run_chunk(config: ScenarioConfig, k_users: int, realizations: list[int]):
                 converged=bool(result.converged[b]),
                 stabilized_iteration=stab if stab >= 0 else None,
                 target_flagged=bool(result.target_flagged[b]),
-                draw_checksum=checksums[b],
+                draw_checksum=scenario_checksum(scenarios[b]),
             )
         )
     return records, errors
@@ -406,10 +389,8 @@ def paired_comparison(
         raise ConfigurationError("refusing comparison: seeds differ")
     echo_a = report_a.config.echo_dict()
     echo_b = report_b.config.echo_dict()
-    for key in set(echo_a) | set(echo_b):
-        if key in PAIRABLE_KEYS:
-            continue
-        if echo_a.get(key) != echo_b.get(key):
+    for key in echo_a.keys() - PAIRABLE_KEYS:
+        if echo_a[key] != echo_b[key]:
             raise ConfigurationError(
                 f"refusing comparison: configs differ in {key!r} "
                 "(only algorithm/receiver selection may differ)"
@@ -470,6 +451,8 @@ def _render(value) -> str:
         return repr(value)  # shortest round-trip rendering, full precision
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ";".join(str(u) for u in value)
     return str(value)
 
 
@@ -483,25 +466,7 @@ def emit_results(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
             writer = csv.writer(handle)
             writer.writerow(RAW_COLUMNS)
             for row in report.rows:
-                writer.writerow(
-                    [
-                        row.k_users,
-                        row.realization,
-                        row.seed,
-                        _render(row.sum_rate),
-                        _render(row.sum_power),
-                        _render(row.sum_power_incl_removed_circuit),
-                        _render(row.global_ee),
-                        _render(row.outage_fraction),
-                        row.removed_count,
-                        ";".join(str(u) for u in row.removed_order),
-                        row.rounds,
-                        _render(row.converged),
-                        _render(row.stabilized_iteration),
-                        _render(row.target_flagged),
-                        row.draw_checksum,
-                    ]
-                )
+                writer.writerow([_render(getattr(row, name)) for _, name, _ in _RAW_SCHEMA])
         agg_path = out / "aggregate.csv"
         with agg_path.open("w", newline="") as handle:
             writer = csv.writer(handle)
@@ -511,8 +476,8 @@ def emit_results(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
         meta_path = out / "metadata.json"
         checksums = {}
         for row in report.rows:
-            checksums.setdefault(str(row.k_users), hashlib.sha256())
-            checksums[str(row.k_users)].update(row.draw_checksum.encode())
+            digest = checksums.setdefault(str(row.k_users), hashlib.sha256())
+            digest.update(row.draw_checksum.encode())
         metadata = {
             "version": report.version,
             "seed": report.config.seed,
@@ -537,39 +502,31 @@ def read_report(run_dir: str | Path) -> RunReport:
     raw_path = run_dir / "raw.csv"
     if not meta_path.exists() or not raw_path.exists():
         raise OSError(f"{run_dir} does not contain raw.csv and metadata.json")
-    with meta_path.open() as handle:
-        metadata = json.load(handle)
-    config = config_from_echo(metadata["config"])
+    try:
+        metadata = json.loads(meta_path.read_text())
+        config = config_from_echo(metadata["config"])
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or a bad echo
+        detail = 'no "config" entry' if isinstance(exc, (KeyError, TypeError)) else exc
+        raise ConfigurationError(f"{meta_path}: {detail}") from exc
     rows: list[RealizationRecord] = []
     with raw_path.open(newline="") as handle:
-        for entry in csv.DictReader(handle):
-            rows.append(
-                RealizationRecord(
-                    k_users=int(entry["k_users"]),
-                    realization=int(entry["realization"]),
-                    seed=int(entry["seed"]),
-                    sum_rate=float(entry["sum_rate_bit_per_s"]),
-                    sum_power=float(entry["sum_power_w"]),
-                    sum_power_incl_removed_circuit=float(
-                        entry["sum_power_incl_removed_circuit_w"]
-                    ),
-                    global_ee=float(entry["global_ee_bit_per_joule"]),
-                    outage_fraction=float(entry["outage_fraction"]),
-                    removed_count=int(entry["removed_count"]),
-                    removed_order=tuple(
-                        int(u) for u in entry["removed_order"].split(";") if u != ""
-                    ),
-                    rounds=int(entry["rounds"]),
-                    converged=entry["converged"] == "true",
-                    stabilized_iteration=(
-                        int(entry["stabilized_iteration"])
-                        if entry["stabilized_iteration"] != ""
-                        else None
-                    ),
-                    target_flagged=entry["target_flagged"] == "true",
-                    draw_checksum=entry["draw_checksum"],
-                )
-            )
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        missing = [column for column in RAW_COLUMNS if column not in header]
+        if missing:
+            raise ConfigurationError(f"{raw_path}: missing column(s) {', '.join(missing)}")
+        cells = [(header.index(column), column, parse) for column, _, parse in _RAW_SCHEMA]
+        for line in reader:
+            if len(line) != len(header):
+                raise ConfigurationError(f"{raw_path} line {reader.line_num}: wrong cell count")
+            values = []
+            for i, column, parse in cells:
+                try:
+                    values.append(parse(line[i]))
+                except (KeyError, ValueError) as exc:
+                    bad = f"bad {column} value {line[i]!r}"
+                    raise ConfigurationError(f"{raw_path} line {reader.line_num}: {bad}") from exc
+            rows.append(RealizationRecord(*values))
     errors = metadata.get("errors", [])
     return RunReport(
         config=config,
@@ -584,112 +541,114 @@ def read_report(run_dir: str | Path) -> RunReport:
 # Config file handling
 
 
-def _geometry_from_dict(data: dict) -> Geometry:
-    kind = data.get("kind")
-    if kind == "ring":
-        return RingGeometry(float(data["inner_radius_m"]), float(data["outer_radius_m"]))
-    if kind == "fixed":
-        return FixedGeometry(
-            float(data["interest_distance_m"]),
-            tuple(float(d) for d in data["interferer_distances_m"]),
-        )
-    raise ConfigurationError(f"geometry.kind must be 'ring' or 'fixed', got {kind!r}")
+def _path(*parts) -> str:
+    return ".".join(str(part) for part in parts if part)
 
 
-def _power_watt(section: dict, base: str, default_w: float) -> float:
-    if f"{base}_dbm" in section:
-        return dbm_to_watt(float(section[f"{base}_dbm"]))
-    if f"{base}_w" in section:
-        return float(section[f"{base}_w"])
-    return default_w
+def _echo(value):
+    """A config value as plain data: a geometry as its document mapping, other
+    dataclasses as dicts keyed by field name, tuples as lists."""
+    if isinstance(value, tuple):
+        return list(value)
+    for kind, (cls, keys) in GEOMETRIES.items():
+        if isinstance(value, cls):
+            values = (_echo(getattr(value, f.name)) for f in fields(cls))
+            return {KIND: kind, **dict(zip(keys, values))}
+    if is_dataclass(value):
+        return {f.name: _echo(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
-def _user_counts(value) -> tuple[int, ...]:
-    if isinstance(value, dict):
-        return tuple(range(int(value["start"]), int(value["stop"]) + 1))
-    return tuple(int(k) for k in value)
+def _check_keys(data, known, path: str, required=()) -> dict:
+    """``data`` as a mapping with no key outside ``known`` and every ``required`` key."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{path or 'config'} must be a mapping, got {data!r}")
+    unknown = [key for key in data if key not in known]
+    missing = [key for key in required if key not in data]
+    for problem, keys in (("unknown", unknown), ("missing", missing)):
+        if keys:
+            names = ", ".join(_path(path, key) for key in keys)
+            raise ConfigurationError(f"{problem} config key(s): {names}")
+    return data
 
 
-def config_from_dict(data: dict) -> ScenarioConfig:
-    """Build a resolved config from a (nested) plain-dict document."""
-    defaults = ScenarioConfig()
-    system = data.get("system", {})
-    radio = data.get("radio", {})
-    control = data.get("control", {})
-    tradeoff_data = data.get("tradeoff", {})
-    tradeoff_defaults = TradeoffSettings()
-    tradeoff = TradeoffSettings(
-        interest_distance=float(
-            tradeoff_data.get("interest_distance_m", tradeoff_defaults.interest_distance)
-        ),
-        interferer_distances=tuple(
-            float(d)
-            for d in tradeoff_data.get(
-                "interferer_distances_m", tradeoff_defaults.interferer_distances
-            )
-        ),
-        user_count=int(tradeoff_data.get("user_count", tradeoff_defaults.user_count)),
-        interferer_power=_power_watt(
-            tradeoff_data, "interferer_power", tradeoff_defaults.interferer_power
-        ),
-        sweep_points=int(tradeoff_data.get("sweep_points", tradeoff_defaults.sweep_points)),
-        fading_draws=int(tradeoff_data.get("fading_draws", tradeoff_defaults.fading_draws)),
-    )
-    geometry = (
-        _geometry_from_dict(system["geometry"]) if "geometry" in system else defaults.geometry
-    )
-    return ScenarioConfig(
-        name=str(data.get("name", defaults.name)),
-        seed=int(data.get("seed", defaults.seed)),
-        realizations=int(data.get("realizations", defaults.realizations)),
-        workers=int(data.get("workers", defaults.workers)),
-        output_dir=str(data.get("output_dir", defaults.output_dir)),
-        processing_gain=int(system.get("processing_gain", defaults.processing_gain)),
-        user_counts=_user_counts(system.get("user_counts", defaults.user_counts)),
-        receiver=str(system.get("receiver", defaults.receiver)),
-        algorithm=str(system.get("algorithm", defaults.algorithm)),
-        geometry=geometry,
-        path_loss_exponent=float(
-            system.get("path_loss_exponent", defaults.path_loss_exponent)
-        ),
-        fading=str(system.get("fading", defaults.fading)),
-        bandwidth=float(radio.get("bandwidth_hz", defaults.bandwidth)),
-        noise_power=_power_watt(radio, "noise_power", defaults.noise_power),
-        max_power=_power_watt(radio, "max_power", defaults.max_power),
-        circuit_power=_power_watt(radio, "circuit_power", defaults.circuit_power),
-        packet_bits=int(radio.get("packet_bits", defaults.packet_bits)),
-        info_bits=int(radio.get("info_bits", defaults.info_bits)),
-        ber=float(radio.get("ber", defaults.ber)),
-        min_rate=float(radio.get("min_rate_bps", defaults.min_rate)),
-        alpha=float(control.get("alpha", defaults.alpha)),
-        iterations=int(control.get("iterations", defaults.iterations)),
-        resolve_targets_each_iteration=bool(
-            control.get(
-                "resolve_targets_each_iteration", defaults.resolve_targets_each_iteration
-            )
-        ),
-        count_removed_circuit_power=bool(
-            control.get("count_removed_circuit_power", defaults.count_removed_circuit_power)
-        ),
-        tradeoff=tradeoff,
-    )
+def _coerce(value, hint, path: str, echo: bool):
+    """A document value as a field of type ``hint``; errors name ``path``."""
+    if is_dataclass(hint):
+        return _load(hint, value, echo, path)
+    if hint == Geometry:
+        kind = value.get(KIND) if isinstance(value, dict) else None
+        if kind not in GEOMETRIES:
+            raise ConfigurationError(f"{_path(path, KIND)} must be one of {tuple(GEOMETRIES)}")
+        cls, keys = GEOMETRIES[kind]
+        _check_keys(value, (KIND, *keys), path, required=keys)
+        hints = get_type_hints(cls).values()
+        return cls(*(_coerce(value[k], h, _path(path, k), echo) for k, h in zip(keys, hints)))
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        if isinstance(value, dict) and item is int:  # {start, stop}, both included
+            ends = ("start", "stop")
+            _check_keys(value, ends, path, required=ends)
+            start, stop = (_coerce(value[k], int, _path(path, k), echo) for k in ends)
+            value = range(start, stop + 1)
+        if not isinstance(value, (list, tuple, range)):
+            raise ConfigurationError(f"{path} must be a list, got {value!r}")
+        return tuple(_coerce(v, item, path, echo) for v in value)
+    if hint is bool and not isinstance(value, bool):
+        raise ConfigurationError(f"{path} must be true or false, got {value!r}")
+    try:
+        return hint(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path} must be {hint.__name__}, got {value!r}") from exc
+
+
+def _load(cls, data, echo: bool, where: str = "", overrides: dict | None = None):
+    """Build config dataclass ``cls`` from its YAML document or, with ``echo``,
+    from its echo, which must hold every field; ``overrides`` sets fields by name."""
+    locations = {}  # (section, document key) -> (field name, key holds dBm)
+    for f in fields(cls):
+        meta = {} if echo else f.metadata
+        section, key = meta.get("section"), meta.get("key") or f.name
+        if meta.get("power"):
+            locations[section, f"{key}_dbm"] = (f.name, True)
+            locations[section, f"{key}_w"] = (f.name, False)
+        else:
+            locations[section, key] = (f.name, False)
+    sections = {section for section, _ in locations if section}
+    top = [key for section, key in locations if not section]
+    _check_keys(data, sections.union(top), where, required=top if echo else ())
+    for section in sections & set(data):
+        keys = {key for s, key in locations if s == section}
+        _check_keys(data[section], keys, _path(where, section))
+
+    hints = get_type_hints(cls)
+    values, paths = {}, {}
+    for (section, key), (name, dbm) in locations.items():
+        source = data.get(section, {}) if section else data
+        if key not in source:
+            continue
+        path = _path(where, section, key)
+        if name in paths:
+            raise ConfigurationError(f"{paths[name]} and {path} exclude each other")
+        paths[name] = path
+        value = dbm_to_watt(_coerce(source[key], float, path, echo)) if dbm else source[key]
+        values[name] = _coerce(value, hints[name], path, echo)
+    for name, value in (overrides or {}).items():
+        values[name] = _coerce(value, hints[name], name, echo)
+    return cls(**values)
+
+
+def config_from_dict(data: dict, overrides: dict | None = None) -> ScenarioConfig:
+    """Build a resolved config from a (nested) YAML document; ``overrides``
+    sets fields by name (the command line's ``--seed`` and the like)."""
+    if isinstance(data, dict):  # the variants list is expanded by expand_variants
+        data = {key: value for key, value in data.items() if key != "variants"}
+    return _load(ScenarioConfig, data, False, overrides=overrides)
 
 
 def config_from_echo(echo: dict) -> ScenarioConfig:
     """Rebuild a config from the canonical echo stored in metadata."""
-    echo = copy.deepcopy(echo)
-    geometry = _geometry_from_dict(echo.pop("geometry"))
-    tradeoff_data = echo.pop("tradeoff")
-    tradeoff = TradeoffSettings(
-        interest_distance=tradeoff_data["interest_distance"],
-        interferer_distances=tuple(tradeoff_data["interferer_distances"]),
-        user_count=tradeoff_data["user_count"],
-        interferer_power=tradeoff_data["interferer_power"],
-        sweep_points=tradeoff_data["sweep_points"],
-        fading_draws=tradeoff_data["fading_draws"],
-    )
-    echo["user_counts"] = tuple(echo["user_counts"])
-    return ScenarioConfig(geometry=geometry, tradeoff=tradeoff, **echo)
+    return _load(ScenarioConfig, echo, True)
 
 
 def _merge_dicts(base: dict, override: dict) -> dict:
@@ -704,16 +663,17 @@ def _merge_dicts(base: dict, override: dict) -> dict:
 
 def load_config_data(path: str | Path) -> dict:
     """Read a YAML config document from a path or a shipped preset name."""
-    candidate = Path(path)
-    if not candidate.exists():
+    source = Path(path)
+    if not source.exists():
         from importlib.resources import files
 
-        preset = files("cdma_ee.presets").joinpath(f"{path}.yaml")
-        if preset.is_file():
-            return yaml.safe_load(preset.read_text())
-        raise ConfigurationError(f"config {path!r} is neither a file nor a known preset")
-    with candidate.open() as handle:
-        data = yaml.safe_load(handle)
+        source = files("cdma_ee.presets").joinpath(f"{path}.yaml")
+        if not source.is_file():
+            raise ConfigurationError(f"config {path!r} is neither a file nor a known preset")
+    try:
+        data = yaml.safe_load(source.read_text())
+    except yaml.YAMLError as exc:
+        raise ConfigurationError(f"config {path!r} is not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError(f"config {path!r} must be a mapping document")
     return data

@@ -38,13 +38,11 @@ class TradeoffCurve:
     ee: np.ndarray                  # bit/Joule, mean over fading draws
     sinr: np.ndarray                # linear, mean over fading draws
     max_ee_index: int
-    lambda_gap: float               # SE at top power minus SE at the EE peak
     receiver: str
     fading_draws: int
     se_monotone: bool
     ee_unimodal: bool
     coupling: float                 # mean interest gain power over interferers'
-    coupling_reciprocal: float
 
     @property
     def max_ee_power(self) -> float:
@@ -53,6 +51,15 @@ class TradeoffCurve:
     @property
     def max_ee_sinr(self) -> float:
         return float(self.sinr[self.max_ee_index])
+
+    @property
+    def lambda_gap(self) -> float:
+        """SE at the grid's top power minus SE at the EE peak (>= 0)."""
+        return float(self.se[-1] - self.se[self.max_ee_index])
+
+    @property
+    def coupling_reciprocal(self) -> float:
+        return 1.0 / self.coupling
 
 
 def default_sweep_grid(max_power: float, points: int = SWEEP_POINTS) -> np.ndarray:
@@ -144,16 +151,10 @@ def sweep_tradeoff(
         ee=ee,
         sinr=sinr,
         max_ee_index=max_ee_index,
-        lambda_gap=float(se[-1] - se[max_ee_index]),
         receiver=receiver,
         fading_draws=draws,
         se_monotone=bool(np.all(np.diff(se) >= 0.0)),
         ee_unimodal=scan_unimodal(ee)[1] is None,
         coupling=coupling,
-        coupling_reciprocal=(1.0 / coupling) if users > 1 else float("nan"),
     )
 
-
-def gap_lambda(curve: TradeoffCurve) -> float:
-    """SE at the grid's top power minus SE at the EE peak (>= 0)."""
-    return float(curve.se[-1] - curve.se[curve.max_ee_index])

@@ -1,5 +1,7 @@
+import csv
 import json
 
+import pytest
 import yaml
 
 from cdma_ee.cli import main
@@ -163,3 +165,59 @@ def test_preset_configs_are_reachable(tmp_path):
         ]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        ({"radio": {"min_rate_bp": 5e5}}, "radio.min_rate_bp"),
+        ({"control": {"iteration": 10}}, "control.iteration"),
+        ({"system": {"recevier": "dec"}}, "system.recevier"),
+        ({"control": {"resolve_targets_each_iteration": "false"}}, "control.resolve_targets"),
+        ({"radio": {"max_power_dbm": 10.0, "max_power_w": 0.01}}, "radio.max_power_w"),
+        ({"system": 5}, "system"),
+        ({"radio": {"info_bits": 90}}, "info_bits"),
+        ({"radio": {"ber": 0.5}}, "ber"),
+        ({"system": {"processing_gain": 0}}, "system.processing_gain"),
+    ],
+)
+def test_bad_config_exits_with_config_code(tmp_path, capsys, overrides, named):
+    config = write_config(tmp_path, **overrides)
+    assert main(["solve", "--config", str(config), "--k", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and named in err
+
+
+def _drop_config(run_dir):
+    meta = json.loads((run_dir / "metadata.json").read_text())
+    del meta["config"]
+    (run_dir / "metadata.json").write_text(json.dumps(meta))
+
+
+def _set_raw_cell(run_dir, row, column, value):
+    """Overwrite one cell of raw.csv; row 0 is the header."""
+    path = run_dir / "raw.csv"
+    with path.open(newline="") as handle:
+        rows = list(csv.reader(handle))
+    rows[row][rows[0].index(column)] = value
+    with path.open("w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+
+
+@pytest.mark.parametrize(
+    "damage, file, named",
+    [
+        (lambda d: _set_raw_cell(d, 0, "global_ee_bit_per_joule", "ee"), "raw.csv",
+         "global_ee_bit_per_joule"),
+        (_drop_config, "metadata.json", '"config"'),
+        (lambda d: _set_raw_cell(d, 1, "converged", "yes"), "raw.csv", "converged value 'yes'"),
+    ],
+    ids=["renamed_column", "no_config", "converged_yes"],
+)
+def test_compare_rejects_malformed_run(tmp_path, capsys, damage, file, named):
+    assert main(["run", "--config", str(write_config(tmp_path)), "--realizations", "1"]) == 0
+    run_dir = tmp_path / "out"
+    damage(run_dir)
+    assert main(["compare", "--a", str(run_dir), "--b", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert str(run_dir / file) in err and named in err

@@ -151,17 +151,32 @@ def test_paired_draws_share_checksums():
 
 
 def test_emit_and_read_round_trip(tmp_path):
-    config = tiny_config(realizations=2)
-    report = run_experiment(config)
-    paths = emit_results(report, tmp_path / "out")
-    loaded = read_report(tmp_path / "out")
-    assert loaded.rows == report.rows
-    assert loaded.aggregates == report.aggregates
-    assert loaded.config.seed == config.seed
-    meta = json.loads(paths["metadata"].read_text())
-    assert meta["seed"] == config.seed
-    assert meta["config_hash"] == config.config_hash()
-    assert set(meta["draw_checksums"]) == {"2", "3"}
+    # 30 iterations leave rows with a removal and no stabilized iteration.
+    cases = [(ce.RingGeometry(50.0, 200.0), (2, 3)), (ce.FixedGeometry(50.0, (80.0, 120.0)), (3,))]
+    for case, (geometry, user_counts) in enumerate(cases):
+        config = tiny_config(
+            realizations=2, geometry=geometry, user_counts=user_counts, iterations=30
+        )
+        report = run_experiment(config)
+        assert any(row.removed_order for row in report.rows)
+        assert any(row.stabilized_iteration is None for row in report.rows)
+        first, second = tmp_path / f"out{case}", tmp_path / f"again{case}"
+        paths = emit_results(report, first)
+        loaded = read_report(first)
+        assert loaded.rows == report.rows
+        assert loaded.aggregates == report.aggregates
+        assert loaded.config == config
+        meta = json.loads(paths["metadata"].read_text())
+        assert meta["seed"] == config.seed
+        assert meta["config_hash"] == config.config_hash()
+        assert set(meta["draw_checksums"]) == {str(k) for k in user_counts}
+        # emit -> read -> emit writes the same bytes.
+        emit_results(loaded, second)
+        for name in ("raw.csv", "aggregate.csv"):
+            assert (second / name).read_bytes() == (first / name).read_bytes()
+        meta_again = json.loads((second / "metadata.json").read_text())
+        meta.pop("timestamp"), meta_again.pop("timestamp")
+        assert meta_again == meta
 
 
 def test_emit_rerun_is_byte_identical(tmp_path):

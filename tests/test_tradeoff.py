@@ -117,30 +117,26 @@ def test_gap_lambda_synthetic_curve():
         ee=ee,
         sinr=np.ones(64),
         max_ee_index=int(np.argmax(ee)),
-        lambda_gap=float(se[-1] - se[20]),
         receiver="mf",
         fading_draws=1,
         se_monotone=True,
         ee_unimodal=True,
         coupling=1.0,
-        coupling_reciprocal=1.0,
     )
-    assert ce.gap_lambda(curve) == pytest.approx(se[-1] - se[20])
+    assert curve.lambda_gap == pytest.approx(se[-1] - se[20])
     peaked_at_top = TradeoffCurve(
         powers=powers,
         se=se,
         ee=np.arange(64.0),
         sinr=np.ones(64),
         max_ee_index=63,
-        lambda_gap=0.0,
         receiver="mf",
         fading_draws=1,
         se_monotone=True,
         ee_unimodal=True,
         coupling=1.0,
-        coupling_reciprocal=1.0,
     )
-    assert ce.gap_lambda(peaked_at_top) == 0.0
+    assert peaked_at_top.lambda_gap == 0.0
 
 
 def test_fading_none_collapses_draw_count(fig_params):
