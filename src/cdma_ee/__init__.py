@@ -21,7 +21,6 @@ from .control import (
 )
 from .errors import (
     ConfigurationError,
-    NoInteriorMaximumError,
     NotConvergedError,
     ReceiverUnavailableError,
 )
@@ -36,16 +35,7 @@ from .metrics import (
     spectral_efficiency,
     utility,
 )
-from .optimize import (
-    BestResponse,
-    OptimalSinr,
-    QuasiconcavityReport,
-    best_response_power,
-    check_quasiconcavity,
-    optimal_sinr,
-    solve_optimal_sinr_batch,
-    utility_vs_sinr,
-)
+from .optimize import solve_optimal_sinr_batch
 from .scenario import RECEIVERS, NetworkScenario, draw_scenario, scenario_checksum
 from .spreading import (
     SpreadingCodeSet,

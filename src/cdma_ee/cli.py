@@ -17,12 +17,7 @@ import numpy as np
 from . import __version__
 from .channel import FixedGeometry, draw_placement
 from .control import ALGORITHMS
-from .errors import (
-    ConfigurationError,
-    NoInteriorMaximumError,
-    NotConvergedError,
-    ReceiverUnavailableError,
-)
+from .errors import ConfigurationError, NotConvergedError, ReceiverUnavailableError
 from .harness import (
     PairedVerdict,
     ScenarioConfig,
@@ -190,7 +185,7 @@ def _cmd_solve(args) -> int:
     power, sinr, target, active = (
         result.power[0], result.sinr[0], result.target_sinr[0], result.active[0]
     )
-    gap = np.broadcast_to(np.asarray(params.gap(), dtype=float), (k_users,))
+    gap = params.gap()
     rates = rate(sinr, gap, config.bandwidth)
     print(
         f"K={k_users} receiver={config.receiver} algorithm={config.algorithm} "
@@ -200,7 +195,7 @@ def _cmd_solve(args) -> int:
     header = f"{'user':>4} {'dist_m':>9} {'gain_pow':>12} {'target':>12} {'power_w':>12} {'sinr':>12} {'rate_bps':>12} {'ee_bit_j':>12}"
     print(header)
     for k in range(k_users):
-        ee_k = utility(power[k], sinr[k], params, gap[k]) if active[k] else 0.0
+        ee_k = utility(power[k], sinr[k], params, gap) if active[k] else 0.0
         print(
             f"{k:>4} {scenario.placement.distances[k]:>9.2f} "
             f"{scenario.channel.gain_power[k]:>12.4e} {target[k]:>12.4e} "
@@ -227,7 +222,6 @@ def main(argv=None) -> int:
         return EXIT_IO
     except (
         ReceiverUnavailableError,
-        NoInteriorMaximumError,
         NotConvergedError,
         np.linalg.LinAlgError,
         FloatingPointError,

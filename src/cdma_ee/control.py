@@ -43,6 +43,11 @@ ALGORITHMS = ("alg1", "alg2", "baseline")
 REMOVAL_SINR_REL_TOL = 1e-2
 POWER_STABLE_REL_TOL = 1e-6
 SINR_STABLE_REL_TOL = 1e-6
+# verify_nash: deviation grid size, the relative gain that breaks the
+# equilibrium, and the restart deviation that still counts as the same one.
+NASH_DEVIATION_POINTS = 200
+NASH_IMPROVEMENT_TOL = 1e-6
+NASH_RESTART_TOL = 1e-4
 
 
 @dataclass
@@ -59,7 +64,6 @@ class BatchControlResult:
     converged: np.ndarray
     stabilized_iteration: np.ndarray  # -1 where SINRs never settled
     target_flagged: np.ndarray
-    power_change: np.ndarray
     failed: np.ndarray
     failure_reasons: dict[int, str] = field(default_factory=dict)
 
@@ -89,7 +93,6 @@ def _batch_round(
     dec_itf,
     active,
     params: EEParams,
-    gap_row,
     iterations,
     alpha,
     initial_power,
@@ -111,7 +114,6 @@ def _batch_round(
         return np.where(active, power / dec_itf, 0.0), dec_itf
 
     power = np.where(active, initial_power, 0.0)
-    gap = np.broadcast_to(gap_row, (batch, users))
     targets = np.zeros((batch, users))
     guess = None
     prev_sinr = None
@@ -122,8 +124,8 @@ def _batch_round(
     for it in range(iterations):
         sinr, eff_itf = observe(power)
         if it == 0 or (weights is not None and resolve_each_iteration):
-            solved, no_interior, _, _ = solve_optimal_sinr_batch(
-                np.where(active, eff_itf, 1.0), params, gap, initial_guess=guess
+            solved, no_interior = solve_optimal_sinr_batch(
+                np.where(active, eff_itf, 1.0), params, initial_guess=guess
             )
             guess = solved
             targets = np.where(active, solved, 0.0)
@@ -146,10 +148,10 @@ def _batch_round(
     return power, sinr, targets, eff_itf, stabilized, last_change, flagged
 
 
-def _removal_candidates(algorithm, sinr, targets, active, rates, min_rate_row):
+def _removal_candidates(algorithm, sinr, targets, active, rates, min_rate):
     below = active & (targets > 0.0) & (sinr < targets * (1.0 - REMOVAL_SINR_REL_TOL))
     if algorithm == "alg2":
-        below &= rates < min_rate_row
+        below &= rates < min_rate
     elif algorithm == "baseline":
         below &= False
     return below
@@ -165,7 +167,6 @@ def run_control_batch(
     alpha: float = 0.5,
     initial_power: np.ndarray | None = None,
     resolve_each_iteration: bool = True,
-    cond_limit: float = 1e12,
     trajectory: list | None = None,
 ) -> BatchControlResult:
     """Run one scheme over a batch of same-sized realizations.
@@ -184,8 +185,6 @@ def run_control_batch(
 
     gain_power = np.asarray(gain_power, dtype=float)
     batch, users = gain_power.shape
-    gap_row = np.broadcast_to(np.asarray(params.gap(), dtype=float), (users,))
-    min_rate_row = np.broadcast_to(np.asarray(params.min_rate, dtype=float), (users,))
     correlation = np.asarray(correlation, dtype=float)
     if correlation.shape != (batch, users, users):
         raise ConfigurationError("correlation must have shape (batch, users, users)")
@@ -227,7 +226,7 @@ def run_control_batch(
             for offset, b in enumerate(rows):
                 try:
                     dec_itf[offset, active[b]] = dec_eff_interference(
-                        gain_power[b], correlation[b], active[b], params.noise_power, cond_limit
+                        gain_power[b], correlation[b], active[b], params.noise_power
                     )
                 except ReceiverUnavailableError as exc:
                     failed[b] = True
@@ -247,15 +246,14 @@ def run_control_batch(
             dec_itf,
             active[rows],
             params,
-            gap_row,
             iterations,
             alpha,
             base_power[rows],
             resolve_each_iteration,
             trajectory=trajectory,
         )
-        rates = rate(sinr, gap_row, params.bandwidth)
-        below = _removal_candidates(algorithm, sinr, targets, active[rows], rates, min_rate_row)
+        rates = rate(sinr, params.gap(), params.bandwidth)
+        below = _removal_candidates(algorithm, sinr, targets, active[rows], rates, params.min_rate)
         has_removal = below.any(axis=1)
 
         finish = rows[~has_removal]
@@ -290,7 +288,6 @@ def run_control_batch(
         converged=converged,
         stabilized_iteration=out_stab,
         target_flagged=out_flagged,
-        power_change=out_change,
         failed=failed,
         failure_reasons=failure_reasons,
     )
@@ -312,11 +309,8 @@ def verify_nash(
     result: BatchControlResult,
     scenario: NetworkScenario,
     params: EEParams,
-    deviation_points: int = 200,
-    improvement_tol: float = 1e-6,
     algorithm: str | None = None,
     restarts: int = 5,
-    restart_tol: float = 1e-4,
     rng: np.random.Generator | None = None,
 ) -> NashReport:
     """Check that no active user can gain by unilaterally changing power.
@@ -339,18 +333,18 @@ def verify_nash(
     power, sinr, active = result.power[0], result.sinr[0], result.active[0]
     eff_interference = result.eff_interference[0]
     user_count = power.size
-    gap = np.broadcast_to(np.asarray(params.gap(), dtype=float), (user_count,))
+    gap = params.gap()
 
-    grid = default_sweep_grid(params.max_power, deviation_points)
+    grid = default_sweep_grid(params.max_power, NASH_DEVIATION_POINTS)
     violations: list[tuple[int, float, float]] = []
     max_improvement = 0.0
     for k in np.flatnonzero(active):
-        base = float(utility(power[k], sinr[k], params, gap[k]))
-        deviated = utility(grid, grid / eff_interference[k], params, gap[k])
+        base = float(utility(power[k], sinr[k], params, gap))
+        deviated = utility(grid, grid / eff_interference[k], params, gap)
         gains = (deviated - base) / max(base, 1e-300)
         worst = float(np.max(gains))
         max_improvement = max(max_improvement, worst)
-        if worst > improvement_tol:
+        if worst > NASH_IMPROVEMENT_TOL:
             at = int(np.argmax(gains))
             violations.append((int(k), float(grid[at]), worst))
 
@@ -371,7 +365,7 @@ def verify_nash(
         scale = np.where(power > 0.0, power, 1.0)
         uniqueness_checked = True
         restart_max_deviation = float(np.max(np.abs(others.power - power) / scale))
-        uniqueness_ok = restart_max_deviation < restart_tol
+        uniqueness_ok = restart_max_deviation < NASH_RESTART_TOL
 
     return NashReport(
         equilibrium=not violations,

@@ -9,17 +9,5 @@ class ReceiverUnavailableError(RuntimeError):
     """The decorrelator cannot be built (rank deficit or ill-conditioned correlation)."""
 
 
-class NoInteriorMaximumError(RuntimeError):
-    """The EE utility is monotone over the whole search bracket.
-
-    Carries the bracket that was searched so callers can fall back to its
-    upper end and flag the scenario.
-    """
-
-    def __init__(self, message: str, bracket: tuple[float, float]):
-        super().__init__(message)
-        self.bracket = bracket
-
-
 class NotConvergedError(RuntimeError):
     """A power-control outcome did not stabilize and cannot be post-processed."""

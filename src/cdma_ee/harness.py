@@ -25,7 +25,6 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
-from scipy import stats
 
 from . import __version__
 from .channel import FixedGeometry, Geometry, RingGeometry
@@ -67,6 +66,20 @@ def _key(default, section: str | None = None, key: str | None = None, power: boo
     return field(default=default, metadata={"section": section, "key": key, "power": power})
 
 
+def _path(*parts) -> str:
+    return ".".join(str(part) for part in parts if part)
+
+
+def _check_ranges(config, checks: dict) -> None:
+    """Raise for the first field of ``checks`` (name -> (ok, need)) that is not ok,
+    naming its section and key; ``_load`` prefixes a nested config's path."""
+    for name, (ok, need) in checks.items():
+        if not ok:
+            meta = config.__dataclass_fields__[name].metadata
+            key = _path(meta.get("section"), meta.get("key") or name)
+            raise ConfigurationError(f"{key} {need}")
+
+
 @dataclass(frozen=True)
 class TradeoffSettings:
     """Sweep configuration for the EE-SE trade-off scenario family."""
@@ -79,6 +92,17 @@ class TradeoffSettings:
     interferer_power: float = _key(1e-2, power=True)
     sweep_points: int = 400
     fading_draws: int = 5000
+
+    def __post_init__(self):
+        _check_ranges(self, {
+            "interest_distance": (self.interest_distance > 0.0, "must be > 0"),
+            "interferer_distances": (min(self.interferer_distances, default=1.0) > 0.0,
+                                     "must all be > 0"),
+            "user_count": (self.user_count >= 1, "must be >= 1"),
+            "interferer_power": (self.interferer_power >= 0.0, "must be >= 0"),
+            "sweep_points": (self.sweep_points >= 1, "must be >= 1"),
+            "fading_draws": (self.fading_draws >= 1, "must be >= 1"),
+        })
 
 
 @dataclass(frozen=True)
@@ -112,17 +136,13 @@ class ScenarioConfig:
     tradeoff: TradeoffSettings = TradeoffSettings()
 
     def __post_init__(self):
-        checks = {
+        _check_ranges(self, {
             "realizations": (self.realizations >= 1, "must be >= 1"),
             "processing_gain": (self.processing_gain >= 1, "must be >= 1"),
             "receiver": (self.receiver in RECEIVERS, f"must be one of {RECEIVERS}"),
             "algorithm": (self.algorithm in ALGORITHMS, f"must be one of {ALGORITHMS}"),
             "user_counts": (min(self.user_counts, default=0) >= 1, "must be positive"),
-        }
-        for name, (ok, need) in checks.items():
-            if not ok:
-                section = self.__dataclass_fields__[name].metadata.get("section")
-                raise ConfigurationError(f"{_path(section, name)} {need}")
+        })
         try:
             self.ee_params()
         except ValueError as exc:  # every EEParams quantity lives under radio:
@@ -208,12 +228,6 @@ class RunReport:
     errors: list[dict]
     version: str = __version__
 
-    def rows_for(self, k_users: int) -> list[RealizationRecord]:
-        return [row for row in self.rows if row.k_users == k_users]
-
-    def aggregate_for(self, k_users: int) -> dict | None:
-        return next((entry for entry in self.aggregates if entry["k_users"] == k_users), None)
-
 
 def aggregate_rows(rows: list[RealizationRecord], errors: list[dict]) -> list[dict]:
     """Arithmetic means of the raw rows, one entry per K."""
@@ -261,7 +275,6 @@ def run_realizations(config: ScenarioConfig, k_users: int, realizations: list[in
 def _run_chunk(config: ScenarioConfig, k_users: int, realizations: list[int]):
     """Draw and run a block of realizations at one K (worker entry point)."""
     params = config.ee_params()
-    gap_row = np.broadcast_to(np.asarray(params.gap(), dtype=float), (k_users,))
     scenarios, seeds, result = run_realizations(config, k_users, realizations)
 
     records: list[RealizationRecord] = []
@@ -280,7 +293,7 @@ def _run_chunk(config: ScenarioConfig, k_users: int, realizations: list[int]):
         power = result.power[b]
         sinr = result.sinr[b]
         n_removed = len(result.removed[b])
-        rates = rate(sinr[active], gap_row[active], config.bandwidth)
+        rates = rate(sinr[active], params.gap(), config.bandwidth)
         sum_power = float(np.sum(power[active] + params.circuit_power))
         ee = global_ee(
             rates,
@@ -380,9 +393,11 @@ class PairedVerdict:
 
 
 def paired_comparison(
-    report_a: RunReport, report_b: RunReport, metric: str, confidence: float = 0.95
+    report_a: RunReport, report_b: RunReport, metric: str
 ) -> list[PairedVerdict]:
-    """Paired per-K comparison of two runs on identical draws."""
+    """Paired per-K comparison of two runs on identical draws (95% t intervals)."""
+    from scipy import stats  # only this command needs SciPy; keep it off the import path
+
     if metric not in METRIC_FIELDS:
         raise ConfigurationError(f"metric must be one of {sorted(METRIC_FIELDS)}")
     if report_a.config.seed != report_b.config.seed:
@@ -419,9 +434,7 @@ def paired_comparison(
         n = diffs.size
         mean = float(np.mean(diffs))
         if n > 1:
-            half = float(
-                stats.t.ppf(0.5 + confidence / 2.0, n - 1) * np.std(diffs, ddof=1) / np.sqrt(n)
-            )
+            half = float(stats.t.ppf(0.975, n - 1) * np.std(diffs, ddof=1) / np.sqrt(n))
         else:
             half = float("inf")
         low, high = mean - half, mean + half
@@ -528,6 +541,13 @@ def read_report(run_dir: str | Path) -> RunReport:
                     raise ConfigurationError(f"{raw_path} line {reader.line_num}: {bad}") from exc
             rows.append(RealizationRecord(*values))
     errors = metadata.get("errors", [])
+    if not isinstance(errors, list):
+        raise ConfigurationError(f'{meta_path}: "errors" must be a list')
+    for entry in errors:  # a per-realization failure counts against its K
+        if not isinstance(entry, dict) or (
+            "realization" in entry and type(entry.get("k_users")) is not int
+        ):
+            raise ConfigurationError(f'{meta_path}: bad "errors" entry {entry!r}')
     return RunReport(
         config=config,
         rows=rows,
@@ -539,10 +559,6 @@ def read_report(run_dir: str | Path) -> RunReport:
 
 # ---------------------------------------------------------------------------
 # Config file handling
-
-
-def _path(*parts) -> str:
-    return ".".join(str(part) for part in parts if part)
 
 
 def _echo(value):
@@ -596,6 +612,10 @@ def _coerce(value, hint, path: str, echo: bool):
         return tuple(_coerce(v, item, path, echo) for v in value)
     if hint is bool and not isinstance(value, bool):
         raise ConfigurationError(f"{path} must be true or false, got {value!r}")
+    if hint is int and (
+        isinstance(value, bool) or isinstance(value, float) and not value.is_integer()
+    ):  # int() would turn true into 1 and truncate 2.7 to 2
+        raise ConfigurationError(f"{path} must be int, got {value!r}")
     try:
         return hint(value)
     except (TypeError, ValueError) as exc:
@@ -635,7 +655,10 @@ def _load(cls, data, echo: bool, where: str = "", overrides: dict | None = None)
         values[name] = _coerce(value, hints[name], path, echo)
     for name, value in (overrides or {}).items():
         values[name] = _coerce(value, hints[name], name, echo)
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ConfigurationError as exc:  # a nested config's own checks name its key only
+        raise ConfigurationError(_path(where, exc)) from exc
 
 
 def config_from_dict(data: dict, overrides: dict | None = None) -> ScenarioConfig:

@@ -62,8 +62,8 @@ def packet_success(sinr, packet_bits):
 class EEParams:
     """Constants of the energy-efficiency utility and the QoS targets.
 
-    Powers are in watts, rates in bit/s.  ``ber`` and ``min_rate`` may be
-    scalars (shared QoS class) or per-user arrays.
+    Powers are in watts, rates in bit/s.  Every user shares one QoS class:
+    one BER target (hence one SINR gap) and one minimum rate.
     """
 
     packet_bits: int
@@ -72,8 +72,8 @@ class EEParams:
     bandwidth: float
     max_power: float
     noise_power: float
-    ber: float | np.ndarray = 1e-3
-    min_rate: float | np.ndarray = 0.0
+    ber: float = 1e-3
+    min_rate: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.info_bits <= self.packet_bits:
@@ -82,7 +82,7 @@ class EEParams:
             raise ValueError("circuit_power must be >= 0")
         if self.max_power <= 0.0 or self.noise_power <= 0.0 or self.bandwidth <= 0.0:
             raise ValueError("max_power, noise_power and bandwidth must be positive")
-        if np.any(np.asarray(self.min_rate) < 0.0):
+        if self.min_rate < 0.0:
             raise ValueError("min_rate must be >= 0")
         sinr_gap(self.ber)  # validates the BER range
 
@@ -90,10 +90,10 @@ class EEParams:
     def load_fraction(self) -> float:
         return self.info_bits / self.packet_bits
 
-    def gap(self) -> float | np.ndarray:
+    def gap(self) -> float:
         return sinr_gap(self.ber)
 
-    def sinr_floor(self) -> float | np.ndarray:
+    def sinr_floor(self) -> float:
         """Minimum SINR implied by ``min_rate``."""
         return min_sinr(self.min_rate, self.bandwidth, self.gap())
 

@@ -58,16 +58,16 @@ def generate_codes(
     return SpreadingCodeSet(chips=chips, correlation=correlation)
 
 
-def guarded_inverse(matrix: np.ndarray, cond_limit: float = CONDITION_LIMIT) -> np.ndarray:
+def guarded_inverse(matrix: np.ndarray) -> np.ndarray:
     """Dense inverse with a 1-norm condition estimate guard."""
     try:
         inverse = np.linalg.inv(matrix)
     except np.linalg.LinAlgError as exc:
         raise ReceiverUnavailableError(f"correlation matrix is singular: {exc}") from exc
     cond = np.linalg.norm(matrix, 1) * np.linalg.norm(inverse, 1)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise ReceiverUnavailableError(
-            f"correlation matrix too ill-conditioned (estimate {cond:.3e} > {cond_limit:.1e})"
+            f"correlation matrix too ill-conditioned (estimate {cond:.3e} > {CONDITION_LIMIT:.1e})"
         )
     return inverse
 
@@ -119,9 +119,7 @@ def mf_sinr(power, gain_power, weights, noise_power: float):
     return received / denominator, denominator / gain_power
 
 
-def dec_eff_interference(
-    gain_power, correlation, active, noise_power: float, cond_limit: float = CONDITION_LIMIT
-) -> np.ndarray:
+def dec_eff_interference(gain_power, correlation, active, noise_power: float) -> np.ndarray:
     """Decorrelator effective interference of the active users of one realization.
 
     The decorrelator D = S R^-1 of the active users nulls their MAI and scales
@@ -133,5 +131,5 @@ def dec_eff_interference(
     """
     _check_noise(noise_power)
     active = np.asarray(active, dtype=bool)
-    inverse = guarded_inverse(correlation[np.ix_(active, active)], cond_limit)
+    inverse = guarded_inverse(correlation[np.ix_(active, active)])
     return noise_power * np.diagonal(inverse) / gain_power[..., active]

@@ -99,8 +99,7 @@ def sweep_tradeoff(
     if np.any(others < 0.0):
         raise ConfigurationError("interferer powers must be >= 0")
 
-    gap = np.asarray(params.gap(), dtype=float)
-    gap0 = float(gap) if gap.ndim == 0 else float(gap[0])
+    gap = params.gap()
     draws = 1 if fading == "none" else int(fading_draws)
     if draws < 1:
         raise ConfigurationError("fading_draws must be >= 1")
@@ -132,8 +131,8 @@ def sweep_tradeoff(
         if users > 1:
             interferer_gain_sum += float(np.mean(h2[1:]))
         sinr = grid / itf
-        se_sum += spectral_efficiency(sinr, gap0)
-        ee_sum += utility(grid, sinr, params, gap0)
+        se_sum += spectral_efficiency(sinr, gap)
+        ee_sum += utility(grid, sinr, params, gap)
         sinr_sum += sinr
 
     se = se_sum / draws

@@ -1,7 +1,11 @@
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 import pytest
 
 import cdma_ee as ce
+from cdma_ee.optimize import scan_unimodal
 
 
 @pytest.fixture
@@ -54,3 +58,101 @@ def run_single(scenario, params, algorithm="alg1", **kwargs) -> ce.BatchControlR
         params,
         **kwargs,
     )
+
+
+def gamma_star(eff_interference, params):
+    """EE-optimal SINR at each effective interference, solved cold (a scalar
+    for a scalar); flagged entries sit at the bracket ceiling."""
+    sinr, _ = ce.solve_optimal_sinr_batch(np.asarray(eff_interference, dtype=float), params)
+    return sinr[()]
+
+
+# Verification oracles of the per-user problem: the single-peak check of the
+# utility and the capped best-response map.
+
+
+@dataclass(frozen=True)
+class QuasiconcavityReport:
+    """Outcome of the single-peak scan plus definition spot checks."""
+
+    unimodal: bool
+    peak_index: int
+    monotone_violation: tuple[float, float, float] | None
+    pair_checks: int
+    pair_violation: tuple[float, float, float] | None
+
+    @property
+    def passed(self) -> bool:
+        return self.unimodal and self.pair_violation is None
+
+
+def check_quasiconcavity(
+    sampler: Callable[[np.ndarray], np.ndarray],
+    sinr_grid: np.ndarray,
+    rng: np.random.Generator | None = None,
+    pair_checks: int = 64,
+) -> QuasiconcavityReport:
+    """Verify the sampled utility rises to one peak and then falls.
+
+    Any dip before the peak or rise after it beyond the scan's slack (1e-12
+    relative to the largest magnitude on the grid) fails the scan, and the
+    witnessing triple of grid points is reported.  Random convex combinations
+    of grid points are additionally checked against the defining inequality
+    z(l*x1 + (1-l)*x2) >= min(z(x1), z(x2)).
+    """
+    grid = np.asarray(sinr_grid, dtype=float)
+    if grid.size < 3 or np.any(np.diff(grid) <= 0.0):
+        raise ValueError("sinr_grid must be strictly increasing with >= 3 points")
+    values = np.asarray(sampler(grid), dtype=float)
+    peak, i, slack = scan_unimodal(values)
+    if i is None:
+        monotone_violation = None
+    elif i < peak:  # a dip before the peak
+        monotone_violation = (float(grid[i]), float(grid[i + 1]), float(grid[peak]))
+    else:  # a rise after it
+        monotone_violation = (float(grid[peak]), float(grid[i]), float(grid[i + 1]))
+
+    pair_violation = None
+    gen = rng if rng is not None else np.random.default_rng(0)
+    checks = pair_checks if grid.size >= 2 else 0
+    if checks:
+        left = gen.integers(0, grid.size - 1, size=checks)
+        right = gen.integers(0, grid.size, size=checks)
+        right = np.where(right > left, right, np.minimum(left + 1, grid.size - 1))
+        lam = gen.uniform(0.05, 0.95, size=checks)
+        mid = lam * grid[left] + (1.0 - lam) * grid[right]
+        z_mid = np.asarray(sampler(mid), dtype=float)
+        floor = np.minimum(values[left], values[right]) - slack
+        bad = np.flatnonzero(z_mid < floor)
+        if bad.size:
+            b = int(bad[0])
+            pair_violation = (float(grid[left[b]]), float(mid[b]), float(grid[right[b]]))
+
+    return QuasiconcavityReport(
+        unimodal=monotone_violation is None,
+        peak_index=peak,
+        monotone_violation=monotone_violation,
+        pair_checks=checks,
+        pair_violation=pair_violation,
+    )
+
+
+@dataclass(frozen=True)
+class BestResponse:
+    """Power maximizing a user's own EE given everyone else's powers."""
+
+    power: float
+    capped: bool
+    achieved_sinr: float
+
+
+def best_response_power(
+    target_sinr: float, eff_interference: float, max_power: float
+) -> BestResponse:
+    """Power reaching the target SINR, clipped at the transmit-power cap."""
+    if target_sinr <= 0.0 or eff_interference <= 0.0:
+        raise ValueError("target_sinr and eff_interference must be positive")
+    wanted = target_sinr * eff_interference
+    capped = wanted > max_power
+    power = min(wanted, max_power)
+    return BestResponse(power=power, capped=capped, achieved_sinr=power / eff_interference)

@@ -16,7 +16,7 @@ from cdma_ee.cli import main as cli_main
 from cdma_ee.harness import ScenarioConfig, run_experiment
 from cdma_ee.seeding import realization_seed
 
-from conftest import run_single
+from conftest import check_quasiconcavity, gamma_star, run_single
 
 SEED = 20260810
 REALIZATIONS = 200
@@ -121,8 +121,8 @@ def test_criterion_01_quasiconcavity():
     rng = np.random.default_rng(SEED)
     grid = np.geomspace(1e-3, 1e6, 10_000)
     for itf, params, gap in random_utility_scenarios(100, rng):
-        report = ce.check_quasiconcavity(
-            lambda g: ce.utility_vs_sinr(g, itf, params, gap), grid, rng=rng
+        report = check_quasiconcavity(
+            lambda g: ce.utility(g * itf, g, params, gap), grid, rng=rng
         )
         assert report.passed, (itf, params.circuit_power, report)
     elapsed = time.perf_counter() - started
@@ -140,15 +140,14 @@ def test_criterion_02_solver_vs_grid_oracle():
     while checked < 100:
         (scenario,) = random_utility_scenarios(1, rng)
         itf, params, gap = scenario
-        try:
-            solved = ce.optimal_sinr(itf, params, gap)
-        except ce.NoInteriorMaximumError:
+        solved, no_interior = ce.solve_optimal_sinr_batch(np.array([itf]), params)
+        if no_interior[0]:
             continue  # utility monotone on the bracket: no interior argmax to compare
-        values = ce.utility_vs_sinr(oracle_grid, itf, params, gap)
+        values = ce.utility(oracle_grid * itf, oracle_grid, params, gap)
         oracle = float(oracle_grid[np.argmax(values)])
-        rel = abs(solved.gamma_star - oracle) / oracle
+        rel = abs(solved[0] - oracle) / oracle
         worst = max(worst, rel)
-        assert rel < 1e-3, (itf, params.circuit_power, solved.gamma_star, oracle)
+        assert rel < 1e-3, (itf, params.circuit_power, solved[0], oracle)
         checked += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
@@ -158,10 +157,7 @@ def test_criterion_02_solver_vs_grid_oracle():
 
 def test_criterion_03_interference_invariance_without_circuit_power():
     params = fig_params(circuit_power=0.0)
-    gap = params.gap()
-    stars = [
-        ce.optimal_sinr(itf, params, gap).gamma_star for itf in (1e-12, 1e-9, 1e-6, 1e-3)
-    ]
+    stars = [gamma_star(itf, params) for itf in (1e-12, 1e-9, 1e-6, 1e-3)]
     spread = (max(stars) - min(stars)) / min(stars)
     assert spread < 1e-6
     print(f"ACCEPTANCE 3 PASS: zero-circuit-power optimal SINR spread {spread:.2e} "
@@ -221,7 +217,7 @@ def test_criterion_05_verhulst_convergence():
     )
     result = run_single(scenario, params, iterations=500, alpha=0.5)
     itf = params.noise_power / channel.gain_power[0]
-    star = ce.optimal_sinr(itf, params, params.gap()).gamma_star
+    star = gamma_star(itf, params)
     single_err = abs(result.sinr[0, 0] - star) / star
     assert single_err < 1e-3
 

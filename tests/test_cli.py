@@ -1,9 +1,13 @@
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import cdma_ee
 from cdma_ee.cli import main
 
 
@@ -179,6 +183,9 @@ def test_preset_configs_are_reachable(tmp_path):
         ({"radio": {"info_bits": 90}}, "info_bits"),
         ({"radio": {"ber": 0.5}}, "ber"),
         ({"system": {"processing_gain": 0}}, "system.processing_gain"),
+        ({"realizations": 2.7}, "realizations must be int"),
+        ({"realizations": True}, "realizations must be int"),
+        ({"tradeoff": {"user_count": 0}}, "tradeoff.user_count"),
     ],
 )
 def test_bad_config_exits_with_config_code(tmp_path, capsys, overrides, named):
@@ -191,6 +198,12 @@ def test_bad_config_exits_with_config_code(tmp_path, capsys, overrides, named):
 def _drop_config(run_dir):
     meta = json.loads((run_dir / "metadata.json").read_text())
     del meta["config"]
+    (run_dir / "metadata.json").write_text(json.dumps(meta))
+
+
+def _add_error_without_k(run_dir):
+    meta = json.loads((run_dir / "metadata.json").read_text())
+    meta["errors"].append({"realization": 0, "error": "receiver unavailable"})
     (run_dir / "metadata.json").write_text(json.dumps(meta))
 
 
@@ -211,8 +224,9 @@ def _set_raw_cell(run_dir, row, column, value):
          "global_ee_bit_per_joule"),
         (_drop_config, "metadata.json", '"config"'),
         (lambda d: _set_raw_cell(d, 1, "converged", "yes"), "raw.csv", "converged value 'yes'"),
+        (_add_error_without_k, "metadata.json", '"errors" entry'),
     ],
-    ids=["renamed_column", "no_config", "converged_yes"],
+    ids=["renamed_column", "no_config", "converged_yes", "error_without_k"],
 )
 def test_compare_rejects_malformed_run(tmp_path, capsys, damage, file, named):
     assert main(["run", "--config", str(write_config(tmp_path)), "--realizations", "1"]) == 0
@@ -221,3 +235,12 @@ def test_compare_rejects_malformed_run(tmp_path, capsys, damage, file, named):
     assert main(["compare", "--a", str(run_dir), "--b", str(run_dir)]) == 2
     err = capsys.readouterr().err
     assert str(run_dir / file) in err and named in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only `compare` needs SciPy; every other command should not pay its import
+    src = str(Path(cdma_ee.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import cdma_ee.cli; "
+    code += "print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -5,7 +5,7 @@ import cdma_ee as ce
 from cdma_ee.control import run_control_batch
 from cdma_ee.seeding import realization_seed
 
-from conftest import codes_from_signs, run_single
+from conftest import codes_from_signs, gamma_star, run_single
 
 
 def orthogonal_scenario(distances, receiver="mf"):
@@ -55,9 +55,9 @@ def test_single_user_converges_to_closed_form(fig_params):
     scenario = orthogonal_scenario([50.0])
     result = run_single(scenario, fig_params, iterations=500, alpha=0.5)
     itf = fig_params.noise_power / scenario.channel.gain_power[0]
-    star = ce.optimal_sinr(itf, fig_params, fig_params.gap())
-    assert abs(result.sinr[0, 0] - star.gamma_star) / star.gamma_star < 1e-3
-    assert result.power[0, 0] == pytest.approx(star.gamma_star * itf, rel=1e-3)
+    star = gamma_star(itf, fig_params)
+    assert abs(result.sinr[0, 0] - star) / star < 1e-3
+    assert result.power[0, 0] == pytest.approx(star * itf, rel=1e-3)
     assert result.converged[0] and not result.removed[0]
     assert result.stabilized_iteration[0] >= 0
 
@@ -97,8 +97,7 @@ def test_forced_removal_of_weak_user(no_circuit_params):
         ber=1e-3,
     )
     scenario = orthogonal_scenario([50.0, 2000.0])
-    gap = params.gap()
-    star = ce.optimal_sinr(1e-12 / scenario.channel.gain_power[0], params, gap).gamma_star
+    star = gamma_star(1e-12 / scenario.channel.gain_power[0], params)
     need_strong = star * 1e-12 / scenario.channel.gain_power[0]
     need_weak = star * 1e-12 / scenario.channel.gain_power[1]
     assert need_strong < params.max_power < need_weak  # scenario sanity
@@ -122,9 +121,7 @@ def test_dec_feasible_scenarios_have_no_removals(fig_params):
             np.ones(8, dtype=bool),
             fig_params.noise_power,
         )
-        stars = np.array(
-            [ce.optimal_sinr(i, fig_params, fig_params.gap()).gamma_star for i in itf]
-        )
+        stars = gamma_star(itf, fig_params)
         feasible = np.all(stars * itf <= fig_params.max_power)
         result = run_single(scenario, fig_params)
         assert (len(result.removed[0]) == 0) == feasible
@@ -224,7 +221,7 @@ def test_baseline_pins_infeasible_user_at_max_power():
     assert result.power[0, 1] == params.max_power
     # orthogonal codes: the feasible user still converges to its own target
     itf = params.noise_power / scenario.channel.gain_power[0]
-    star = ce.optimal_sinr(itf, params, params.gap()).gamma_star
+    star = gamma_star(itf, params)
     assert abs(result.sinr[0, 0] - star) / star < 1e-3
 
 
@@ -245,7 +242,6 @@ def test_baseline_correlated_fixed_point_oracle(fig_params):
     )
     result = run_single(scenario, params, "baseline")
     assert result.power[0, 2] == params.max_power
-    gap = params.gap()
     weights = scenario.codes.correlation**2
     np.fill_diagonal(weights, 0.0)
     h2 = scenario.channel.gain_power
@@ -254,7 +250,7 @@ def test_baseline_correlated_fixed_point_oracle(fig_params):
         mai = weights @ (powers * h2)
         itf = (mai + params.noise_power) / h2
         for k in (0, 1):
-            star = ce.optimal_sinr(itf[k], params, gap).gamma_star
+            star = gamma_star(itf[k], params)
             powers[k] = min(star * itf[k], params.max_power)
     assert result.power[0, :2] == pytest.approx(powers[:2], rel=1e-3)
 

@@ -112,7 +112,7 @@ def test_run_experiment_single_user_hits_analytic_optimum():
     gap = params.gap()
     itf = params.noise_power / (50.0**-2.0)
     grid = np.geomspace(1e-3, 1e7, 300_000)
-    star = grid[np.argmax(ce.utility_vs_sinr(grid, itf, params, gap))]
+    star = grid[np.argmax(ce.utility(grid * itf, grid, params, gap))]
     best = float(ce.utility(star * itf, star, params, gap))
     for row in report.rows:
         assert abs(row.global_ee - best) / best < 1e-3
@@ -122,8 +122,8 @@ def test_aggregates_are_means_of_rows():
     config = tiny_config(realizations=2)
     report = run_experiment(config)
     for k_users in config.user_counts:
-        rows = report.rows_for(k_users)
-        entry = report.aggregate_for(k_users)
+        rows = [row for row in report.rows if row.k_users == k_users]
+        (entry,) = [e for e in report.aggregates if e["k_users"] == k_users]
         assert entry["realizations"] == 2
         assert entry["mean_global_ee_bit_per_joule"] == pytest.approx(
             np.mean([r.global_ee for r in rows]), rel=1e-15

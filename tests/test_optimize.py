@@ -6,7 +6,7 @@ import pytest
 import cdma_ee as ce
 from cdma_ee.optimize import _stationarity
 
-from conftest import run_single
+from conftest import best_response_power, check_quasiconcavity, gamma_star, run_single
 
 
 def make_params(packet_bits=80, info_bits=50, circuit_power=0.0, ber=1e-3):
@@ -24,7 +24,7 @@ def make_params(packet_bits=80, info_bits=50, circuit_power=0.0, ber=1e-3):
 def grid_argmax(eff_interference, params, gap, lo=1e-3, hi=1e7, points=300_000):
     """Brute-force oracle: argmax of the utility on a dense log grid."""
     grid = np.geomspace(lo, hi, points)
-    values = ce.utility_vs_sinr(grid, eff_interference, params, gap)
+    values = ce.utility(grid * eff_interference, grid, params, gap)
     return float(grid[np.argmax(values)])
 
 
@@ -47,11 +47,11 @@ def test_optimal_sinr_matches_linear_grid_argmax_without_circuit_power():
     # with no circuit power the peak sits below 100, inside the linear grid
     params = make_params(circuit_power=0.0)
     gap = params.gap()
-    solved = ce.optimal_sinr(2.5e-9, params, gap)
+    solved = gamma_star(2.5e-9, params)
     grid = np.arange(1e-3, 100.0 + 1e-3, 1e-3)
-    values = ce.utility_vs_sinr(grid, 2.5e-9, params, gap)
+    values = ce.utility(grid * 2.5e-9, grid, params, gap)
     best = grid[np.argmax(values)]
-    assert solved.gamma_star == pytest.approx(best, abs=1e-3)
+    assert solved == pytest.approx(best, abs=1e-3)
 
 
 def test_optimal_sinr_matches_log_grid_oracle_randomized():
@@ -64,34 +64,35 @@ def test_optimal_sinr_matches_log_grid_oracle_randomized():
         circuit = 10.0 ** rng.uniform(-6, -2) if rng.random() > 0.25 else 0.0
         params = make_params(packets, info, circuit, ber)
         gap = params.gap()
-        try:
-            solved = ce.optimal_sinr(itf, params, gap)
-        except ce.NoInteriorMaximumError:
+        solved, no_interior = ce.solve_optimal_sinr_batch(np.array([itf]), params)
+        if no_interior[0]:
             continue
         oracle = grid_argmax(itf, params, gap)
-        assert abs(solved.gamma_star - oracle) / oracle < 1e-3
+        assert abs(solved[0] - oracle) / oracle < 1e-3
 
 
 def test_optimal_sinr_residual_is_tiny():
     params = make_params(circuit_power=ce.dbm_to_watt(7.0))
-    solved = ce.optimal_sinr(2.5e-9, params, params.gap())
-    assert abs(solved.residual) < 1e-9
+    solved = gamma_star(2.5e-9, params)
+    residual, _ = _stationarity(
+        solved, params.gap(), params.packet_bits, params.circuit_power / 2.5e-9,
+        with_derivative=False,
+    )
+    assert abs(residual) < 1e-9
 
 
 def test_interference_invariance_without_circuit_power():
     params = make_params(circuit_power=0.0)
-    gap = params.gap()
-    stars = [ce.optimal_sinr(itf, params, gap).gamma_star for itf in (1e-12, 1e-9, 1e-6)]
+    stars = [gamma_star(itf, params) for itf in (1e-12, 1e-9, 1e-6)]
     spread = (max(stars) - min(stars)) / min(stars)
     assert spread < 1e-6
 
 
 def test_gamma_star_nondecreasing_in_circuit_power():
-    gap = ce.sinr_gap(1e-3)
     stars = []
     for circuit in (0.0, 1e-3, 1e-2):
         params = make_params(circuit_power=circuit)
-        stars.append(ce.optimal_sinr(2.5e-9, params, gap).gamma_star)
+        stars.append(gamma_star(2.5e-9, params))
     assert stars[0] <= stars[1] <= stars[2]
     assert stars[0] < stars[2]
 
@@ -99,9 +100,8 @@ def test_gamma_star_nondecreasing_in_circuit_power():
 def test_gamma_star_depends_only_on_cost_ratio():
     params_a = make_params(circuit_power=2e-3)
     params_b = make_params(circuit_power=4e-3)
-    gap = params_a.gap()
-    a = ce.optimal_sinr(1e-6, params_a, gap).gamma_star
-    b = ce.optimal_sinr(2e-6, params_b, gap).gamma_star
+    a = gamma_star(1e-6, params_a)
+    b = gamma_star(2e-6, params_b)
     assert abs(a - b) / a < 1e-9
 
 
@@ -109,59 +109,52 @@ def test_utility_derivative_changes_sign_at_gamma_star():
     params = make_params(circuit_power=ce.dbm_to_watt(7.0))
     gap = params.gap()
     itf = 2.5e-9
-    star = ce.optimal_sinr(itf, params, gap).gamma_star
+    star = gamma_star(itf, params)
 
     def derivative(sinr):
         step = 1e-6 * sinr
-        up = ce.utility_vs_sinr(sinr + step, itf, params, gap)
-        down = ce.utility_vs_sinr(sinr - step, itf, params, gap)
+        up = ce.utility((sinr + step) * itf, sinr + step, params, gap)
+        down = ce.utility((sinr - step) * itf, sinr - step, params, gap)
         return (up - down) / (2.0 * step)
 
     assert derivative(star * 0.999) > 0.0
     assert derivative(star * 1.001) < 0.0
 
 
-def test_no_interior_maximum_raises_with_bracket():
-    params = make_params(circuit_power=1.0)
-    with pytest.raises(ce.NoInteriorMaximumError) as excinfo:
-        ce.optimal_sinr(1e-12, params, params.gap())
-    assert excinfo.value.bracket[1] == pytest.approx(1e6)
-
-
 def test_batch_solver_flags_instead_of_raising():
     params = make_params(circuit_power=1.0)
     itf = np.array([1e-12, 1e-3])
-    stars, no_interior, _, high = ce.solve_optimal_sinr_batch(itf, params, params.gap())
+    stars, no_interior = ce.solve_optimal_sinr_batch(itf, params)
     assert no_interior.tolist() == [True, False]
-    assert stars[0] == high[0] == pytest.approx(1e6)
+    # a flagged entry reports the bracket ceiling it searched up to
+    assert stars[0] == pytest.approx(1e6)
 
 
 def test_batch_solver_warm_start_agrees_with_cold():
     params = make_params(circuit_power=ce.dbm_to_watt(7.0))
-    gap = params.gap()
     rng = np.random.default_rng(4)
     itf = 10.0 ** rng.uniform(-10, -5, size=64)
-    cold, _, _, _ = ce.solve_optimal_sinr_batch(itf, params, gap)
-    warm, _, _, _ = ce.solve_optimal_sinr_batch(itf, params, gap, initial_guess=cold * 1.01)
+    cold, _ = ce.solve_optimal_sinr_batch(itf, params)
+    warm, _ = ce.solve_optimal_sinr_batch(itf, params, initial_guess=cold * 1.01)
     assert np.max(np.abs(warm - cold) / cold) < 1e-8
 
 
 def test_batch_solver_rejects_bad_interference():
     params = make_params()
     with pytest.raises(ValueError):
-        ce.solve_optimal_sinr_batch(np.array([1e-9, 0.0]), params, params.gap())
+        ce.solve_optimal_sinr_batch(np.array([1e-9, 0.0]), params)
 
 
 def test_quasiconcavity_concave_stub_passes():
     grid = np.linspace(0.0, 2.0, 301)
-    report = ce.check_quasiconcavity(lambda g: -((g - 1.0) ** 2), grid)
+    report = check_quasiconcavity(lambda g: -((g - 1.0) ** 2), grid)
     assert report.passed
     assert report.monotone_violation is None
 
 
 def test_quasiconcavity_multimodal_stub_fails_with_location():
     grid = np.linspace(0.0, 2.0, 301)
-    report = ce.check_quasiconcavity(np.vectorize(lambda g: np.sin(10.0 * g)), grid)
+    report = check_quasiconcavity(np.vectorize(lambda g: np.sin(10.0 * g)), grid)
     assert not report.passed
     assert report.monotone_violation is not None
     low, mid, high = report.monotone_violation
@@ -176,21 +169,21 @@ def test_quasiconcavity_of_actual_utility_randomized():
         circuit = 10.0 ** rng.uniform(-6, -2) if rng.random() > 0.3 else 0.0
         params = make_params(circuit_power=circuit)
         gap = params.gap()
-        report = ce.check_quasiconcavity(
-            lambda g: ce.utility_vs_sinr(g, itf, params, gap), grid, rng=rng
+        report = check_quasiconcavity(
+            lambda g: ce.utility(g * itf, g, params, gap), grid, rng=rng
         )
         assert report.passed, (itf, circuit, report)
 
 
 def test_best_response_uncapped():
-    response = ce.best_response_power(10.0, 1e-4, 1e-2)
+    response = best_response_power(10.0, 1e-4, 1e-2)
     assert response.power == pytest.approx(1e-3, rel=1e-12)
     assert not response.capped
     assert response.achieved_sinr == pytest.approx(10.0, rel=1e-12)
 
 
 def test_best_response_capped():
-    response = ce.best_response_power(1e3, 1e-4, 1e-2)
+    response = best_response_power(1e3, 1e-4, 1e-2)
     assert response.power == 1e-2
     assert response.capped
     assert response.achieved_sinr == pytest.approx(100.0, rel=1e-12)
@@ -198,9 +191,9 @@ def test_best_response_capped():
 
 def test_best_response_validation():
     with pytest.raises(ValueError):
-        ce.best_response_power(0.0, 1e-4, 1e-2)
+        best_response_power(0.0, 1e-4, 1e-2)
     with pytest.raises(ValueError):
-        ce.best_response_power(1.0, 0.0, 1e-2)
+        best_response_power(1.0, 0.0, 1e-2)
 
 
 def nash_setup(seed, k_users=5, receiver="mf"):

@@ -4,6 +4,8 @@ import pytest
 import cdma_ee as ce
 from cdma_ee.tradeoff import TradeoffCurve
 
+from conftest import best_response_power, gamma_star
+
 
 def fig_placement(distance, users=3):
     return ce.draw_placement(ce.FixedGeometry(50.0, (distance,) * (users - 1)), users)
@@ -52,8 +54,8 @@ def test_curve_shape_flags_and_cross_module_consistency(fig_params):
         fig_params.noise_power,
     )
     itf = eff_interference[0, 0]
-    star = ce.optimal_sinr(itf, fig_params, fig_params.gap())
-    response = ce.best_response_power(star.gamma_star, itf, fig_params.max_power)
+    star = gamma_star(itf, fig_params)
+    response = best_response_power(star, itf, fig_params.max_power)
     step = curve.powers[1] / curve.powers[0]
     assert curve.max_ee_power / response.power < step
     assert response.power / curve.max_ee_power < step
