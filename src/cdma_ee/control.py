@@ -115,7 +115,7 @@ def _batch_round(
 
     power = np.where(active, initial_power, 0.0)
     targets = np.zeros((batch, users))
-    guess = None
+    active_row = np.nonzero(active)[0]  # the row of each active user, in mask order
     prev_sinr = None
     stabilized = np.full(batch, -1, dtype=int)
     flagged = np.zeros(batch, dtype=bool)
@@ -124,12 +124,12 @@ def _batch_round(
     for it in range(iterations):
         sinr, eff_itf = observe(power)
         if it == 0 or (weights is not None and resolve_each_iteration):
+            # Only active users are solved; each warm-starts from its last target.
             solved, no_interior = solve_optimal_sinr_batch(
-                np.where(active, eff_itf, 1.0), params, initial_guess=guess
+                eff_itf[active], params, initial_guess=targets[active] if it else None
             )
-            guess = solved
-            targets = np.where(active, solved, 0.0)
-            flagged |= np.any(no_interior & active, axis=1)
+            targets[active] = solved
+            flagged[active_row[no_interior]] = True
 
         updated = verhulst_step(power, sinr, targets, alpha, params.max_power)
         if it == iterations - 1:

@@ -612,10 +612,10 @@ def _coerce(value, hint, path: str, echo: bool):
         return tuple(_coerce(v, item, path, echo) for v in value)
     if hint is bool and not isinstance(value, bool):
         raise ConfigurationError(f"{path} must be true or false, got {value!r}")
-    if hint is int and (
-        isinstance(value, bool) or isinstance(value, float) and not value.is_integer()
-    ):  # int() would turn true into 1 and truncate 2.7 to 2
-        raise ConfigurationError(f"{path} must be int, got {value!r}")
+    if (hint in (int, float) and isinstance(value, bool)) or (
+        hint is int and isinstance(value, float) and not value.is_integer()
+    ):  # int() and float() would turn true into 1, int() truncates 2.7 to 2
+        raise ConfigurationError(f"{path} must be {hint.__name__}, got {value!r}")
     try:
         return hint(value)
     except (TypeError, ValueError) as exc:

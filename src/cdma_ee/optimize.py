@@ -68,8 +68,10 @@ def solve_optimal_sinr_batch(
     ``no_interior``.
 
     Newton steps are taken inside a maintained sign-change bracket and fall
-    back to bisection whenever they leave it, so convergence is unconditional;
-    converged entries are frozen, which keeps every element's result
+    back to bisection whenever they leave it, so convergence is unconditional.
+    An entry ends once its Newton step is at most ``SINR_ABS_TOL`` long (its
+    result is that step, clipped into the bracket) or its bracket is that
+    narrow; finished entries are frozen, which keeps every element's result
     independent of what else is in the batch.
     """
     itf = np.asarray(eff_interference, dtype=float)
@@ -93,9 +95,11 @@ def solve_optimal_sinr_batch(
         usable = np.isfinite(guess) & (guess > 0.0)
         if usable.any():
             # A tight bracket around last iteration's root usually still holds,
-            # skipping the cold bracketing work entirely.
+            # skipping the cold bracketing work entirely.  Capping it at the
+            # ceiling leaves an entry without an interior maximum to the cold
+            # path, so its result and flag do not depend on the guess.
             lo_warm = np.where(usable, guess * 0.8, 1.0)
-            hi_warm = np.where(usable, guess * 1.25, 2.0)
+            hi_warm = np.where(usable, np.minimum(guess * 1.25, BRACKET_MAX), 2.0)
             res_lo_w, _ = _stationarity(lo_warm, gap, packet_bits, cost_ratio, False)
             res_hi_w, _ = _stationarity(hi_warm, gap, packet_bits, cost_ratio, False)
             bracketed = usable & (res_lo_w > 0.0) & (res_hi_w <= 0.0)
@@ -142,12 +146,15 @@ def solve_optimal_sinr_batch(
             newton = x_w - residual / derivative
         inside = np.isfinite(newton) & (newton > lo_w) & (newton < hi_w)
         # Near the root the Newton step length bounds the remaining error, so
-        # a tiny accepted step terminates without waiting for the bracket.
-        small_step = inside & (np.abs(newton - x_w) <= SINR_ABS_TOL)
+        # a tiny step terminates without waiting for the bracket, even a
+        # zero-length one from a guess already on the root, which the strict
+        # bracket test would reject.  A NaN or infinite step compares false.
+        small_step = np.abs(newton - x_w) <= SINR_ABS_TOL
         narrow = (hi_w - lo_w) <= SINR_ABS_TOL
         finished = narrow | small_step
         if finished.any():
-            x[idx[finished]] = np.where(small_step, newton, 0.5 * (lo_w + hi_w))[finished]
+            done = np.where(small_step, np.clip(newton, lo_w, hi_w), 0.5 * (lo_w + hi_w))
+            x[idx[finished]] = done[finished]
             keep = ~finished
             idx, x_w, lo_w, hi_w = idx[keep], x_w[keep], lo_w[keep], hi_w[keep]
             rho_w, newton, inside = rho_w[keep], newton[keep], inside[keep]

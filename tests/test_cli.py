@@ -186,6 +186,7 @@ def test_preset_configs_are_reachable(tmp_path):
         ({"realizations": 2.7}, "realizations must be int"),
         ({"realizations": True}, "realizations must be int"),
         ({"tradeoff": {"user_count": 0}}, "tradeoff.user_count"),
+        ({"radio": {"max_power_w": True}}, "radio.max_power_w must be float"),
     ],
 )
 def test_bad_config_exits_with_config_code(tmp_path, capsys, overrides, named):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import cdma_ee as ce
-from cdma_ee.optimize import _stationarity
+from cdma_ee import optimize
+from cdma_ee.optimize import BRACKET_MAX, _stationarity
 
 from conftest import best_response_power, check_quasiconcavity, gamma_star, run_single
 
@@ -137,6 +138,38 @@ def test_batch_solver_warm_start_agrees_with_cold():
     cold, _ = ce.solve_optimal_sinr_batch(itf, params)
     warm, _ = ce.solve_optimal_sinr_batch(itf, params, initial_guess=cold * 1.01)
     assert np.max(np.abs(warm - cold) / cold) < 1e-8
+
+
+@pytest.mark.parametrize("guess", [9.5e5, BRACKET_MAX])
+def test_batch_solver_flag_does_not_depend_on_warm_start(guess):
+    # no interior maximum up to the ceiling: a warm bracket reaching past it
+    # must not find the root beyond it that the cold solve never searches
+    params = make_params(circuit_power=ce.dbm_to_watt(7.0))
+    itf = np.array([3.63e-10])
+    cold, cold_flag = ce.solve_optimal_sinr_batch(itf, params)
+    warm, warm_flag = ce.solve_optimal_sinr_batch(itf, params, initial_guess=np.array([guess]))
+    assert cold_flag.tolist() == warm_flag.tolist() == [True]
+    assert cold[0] <= BRACKET_MAX and warm[0] <= BRACKET_MAX
+    assert warm[0] == cold[0]
+
+
+def test_batch_solver_warm_start_on_root_stops_on_newton_step(monkeypatch):
+    params = make_params(circuit_power=ce.dbm_to_watt(7.0))
+    itf = np.geomspace(1e-9, 1e-5, 1000)
+    cold, flagged = ce.solve_optimal_sinr_batch(itf, params)
+    assert not flagged.any()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _stationarity(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "_stationarity", counted)
+    warm, warm_flagged = ce.solve_optimal_sinr_batch(itf, params, initial_guess=cold)
+    # the two warm bracket ends, then one Newton step of (almost) zero length
+    assert len(calls) == 3
+    assert not warm_flagged.any()
+    assert np.max(np.abs(warm - cold) / cold) <= 1e-12
 
 
 def test_batch_solver_rejects_bad_interference():
