@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .seeding import ensure_rng
 
 FADING_KINDS = ("rayleigh", "none")
 
@@ -98,7 +97,7 @@ def draw_placement(
             )
         return Placement(np.asarray(distances, dtype=float))
     if isinstance(geometry, RingGeometry):
-        gen = ensure_rng(rng)
+        gen = np.random.default_rng(rng)
         radii = gen.uniform(geometry.inner_radius, geometry.outer_radius, size=user_count)
         return Placement(radii)
     raise ConfigurationError(f"unknown geometry {geometry!r}")
@@ -119,12 +118,18 @@ def draw_channel(
     if fading == "none":
         gains = amplitude.astype(complex)
     else:
-        gen = ensure_rng(rng)
+        gen = np.random.default_rng(rng)
         # (K, 2) layout keeps the draws for K users a prefix of those for K+1.
         normals = gen.standard_normal((placement.user_count, 2))
         gains = amplitude * (normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2.0)
     gain_power = gains.real**2 + gains.imag**2
     return ChannelState(gains=gains, gain_power=gain_power)
+
+
+def check_gain_power(gain_power: np.ndarray) -> None:
+    """Refuse gain powers that under- or overflow: their reciprocals enter every SINR."""
+    if not np.all((gain_power >= np.finfo(float).tiny) & (gain_power < np.inf)):
+        raise FloatingPointError("channel gain powers under- or overflow; check path_loss_exponent")
 
 
 def coupling_parameter(mean_interest_gain: float, mean_interferer_gain: float) -> float:

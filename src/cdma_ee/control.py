@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import check_gain_power
 from .errors import ConfigurationError, NotConvergedError, ReceiverUnavailableError
 from .metrics import EEParams, rate, utility
 from .optimize import solve_optimal_sinr_batch
@@ -184,6 +185,7 @@ def run_control_batch(
         raise ConfigurationError("iterations must be >= 1")
 
     gain_power = np.asarray(gain_power, dtype=float)
+    check_gain_power(gain_power)
     batch, users = gain_power.shape
     correlation = np.asarray(correlation, dtype=float)
     if correlation.shape != (batch, users, users):

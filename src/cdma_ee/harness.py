@@ -15,12 +15,14 @@ import copy
 import csv
 import hashlib
 import json
+import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from statistics import NormalDist
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -348,22 +350,14 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
         if config.receiver == "dec" and reason:
             errors.append({"k_users": k_users, "error": reason})
             continue
-        splits = np.array_split(all_realizations, chunking)
-        for split in splits:
+        for split in np.array_split(all_realizations, chunking):
             if len(split):
-                tasks.append((k_users, [int(r) for r in split]))
+                tasks.append((k_users, split.tolist()))
 
     rows: list[RealizationRecord] = []
     if workers > 1 and tasks:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(
-                    _run_chunk,
-                    [config] * len(tasks),
-                    [k for k, _ in tasks],
-                    [rs for _, rs in tasks],
-                )
-            )
+            outcomes = list(pool.map(_run_chunk, [config] * len(tasks), *zip(*tasks)))
     else:
         outcomes = [_run_chunk(config, k, rs) for k, rs in tasks]
     for records, chunk_errors in outcomes:
@@ -392,12 +386,38 @@ class PairedVerdict:
     verdict: str  # "a>b", "b>a", or "indistinguishable"
 
 
+def _t_quantile(p: float, dof: int) -> float:
+    """Student-t quantile at ``p >= 0.5`` for an integer ``dof`` >= 1.
+
+    Newton steps on the closed-form CDF (Abramowitz & Stegun 26.7.3-4) start at
+    the normal quantile, below the root; the CDF is concave there, so they climb
+    to the root without overshooting it.
+    """
+    log_scale = math.lgamma((dof + 1) / 2) - math.lgamma(dof / 2) - 0.5 * math.log(dof * math.pi)
+    odd = dof % 2
+    t = NormalDist().inv_cdf(p)
+    for _ in range(100):
+        cos2 = dof / (dof + t * t)
+        term, series = (math.sqrt(cos2) if odd else 1.0), 0.0
+        for j in range(dof // 2):
+            series += term
+            term *= (2 * j + 1 + odd) / (2 * j + 2 + odd) * cos2
+        # P(|T| <= t): 26.7.3 for odd dof, 26.7.4 for even dof.
+        central = t / math.sqrt(dof + t * t) * series
+        if odd:
+            central = (math.atan2(t, math.sqrt(dof)) + central) * 2.0 / math.pi
+        density = math.exp(log_scale + (dof + 1) / 2 * math.log(cos2))
+        step = (p - 0.5 - 0.5 * central) / density
+        t += step
+        if abs(step) <= 1e-15 * t:
+            break
+    return t
+
+
 def paired_comparison(
     report_a: RunReport, report_b: RunReport, metric: str
 ) -> list[PairedVerdict]:
     """Paired per-K comparison of two runs on identical draws (95% t intervals)."""
-    from scipy import stats  # only this command needs SciPy; keep it off the import path
-
     if metric not in METRIC_FIELDS:
         raise ConfigurationError(f"metric must be one of {sorted(METRIC_FIELDS)}")
     if report_a.config.seed != report_b.config.seed:
@@ -434,7 +454,7 @@ def paired_comparison(
         n = diffs.size
         mean = float(np.mean(diffs))
         if n > 1:
-            half = float(stats.t.ppf(0.975, n - 1) * np.std(diffs, ddof=1) / np.sqrt(n))
+            half = float(_t_quantile(0.975, n - 1) * np.std(diffs, ddof=1) / np.sqrt(n))
         else:
             half = float("inf")
         low, high = mean - half, mean + half

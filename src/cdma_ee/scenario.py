@@ -9,7 +9,6 @@ import numpy as np
 
 from .channel import ChannelState, Geometry, Placement, draw_channel, draw_placement
 from .errors import ConfigurationError
-from .seeding import scenario_streams
 from .spreading import SpreadingCodeSet, generate_codes
 
 RECEIVERS = ("mf", "dec")
@@ -43,10 +42,12 @@ def draw_scenario(
     fading: str = "rayleigh",
 ) -> NetworkScenario:
     """Draw placement, fading and codes from the three substreams of ``seed``."""
-    streams = scenario_streams(seed)
-    placement = draw_placement(geometry, user_count, streams.placement)
-    channel = draw_channel(placement, path_loss_exponent, fading, streams.fading)
-    codes = generate_codes(processing_gain, user_count, streams.codes)
+    placement_rng, fading_rng, codes_rng = map(
+        np.random.default_rng, np.random.SeedSequence(seed).spawn(3)
+    )
+    placement = draw_placement(geometry, user_count, placement_rng)
+    channel = draw_channel(placement, path_loss_exponent, fading, fading_rng)
+    codes = generate_codes(processing_gain, user_count, codes_rng)
     return NetworkScenario(placement=placement, channel=channel, codes=codes, receiver=receiver)
 
 

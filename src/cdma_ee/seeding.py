@@ -2,41 +2,12 @@
 
 One master seed drives the whole pipeline; realization r uses the substream
 ``master_seed + r``, so serial and parallel executions consume identical
-draws.  Within a realization, placement, fading and codes each get their own
-spawned child stream, which keeps draws for K users a strict prefix of the
-draws for K+1 users (common random numbers across load sweeps).
+draws.  Within a realization, ``scenario.draw_scenario`` gives placement,
+fading and codes each their own spawned child stream, which keeps draws for
+K users a strict prefix of the draws for K+1 users (common random numbers
+across load sweeps).
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-import numpy as np
-
-
-def ensure_rng(rng: int | None | np.random.Generator) -> np.random.Generator:
-    """Accept a Generator, a seed, or None and return a Generator."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 def realization_seed(master_seed: int, realization: int) -> int:
     return master_seed + realization
-
-
-@dataclass(frozen=True)
-class ScenarioStreams:
-    placement: np.random.Generator
-    fading: np.random.Generator
-    codes: np.random.Generator
-
-
-def scenario_streams(seed: int) -> ScenarioStreams:
-    """Independent child streams for the three draw stages of one realization."""
-    children = np.random.SeedSequence(seed).spawn(3)
-    return ScenarioStreams(
-        placement=np.random.default_rng(children[0]),
-        fading=np.random.default_rng(children[1]),
-        codes=np.random.default_rng(children[2]),
-    )

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ReceiverUnavailableError
-from .seeding import ensure_rng
 
 CONDITION_LIMIT = 1e12
 
@@ -36,10 +35,6 @@ class SpreadingCodeSet:
     def processing_gain(self) -> int:
         return self.chips.shape[0]
 
-    @property
-    def user_count(self) -> int:
-        return self.chips.shape[1]
-
 
 def generate_codes(
     processing_gain: int,
@@ -49,7 +44,7 @@ def generate_codes(
     """Draw i.i.d. equiprobable +-1 chips scaled by 1/sqrt(N)."""
     if processing_gain < 1 or user_count < 1:
         raise ValueError("processing_gain and user_count must be >= 1")
-    gen = ensure_rng(rng)
+    gen = np.random.default_rng(rng)
     # Drawn per user (row-major as (K, N)) so the codes of the first K users
     # do not change when more users are added under the same stream.
     signs = gen.integers(0, 2, size=(user_count, processing_gain)).T * 2 - 1

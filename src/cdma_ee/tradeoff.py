@@ -12,12 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Placement, coupling_parameter, draw_channel
+from .channel import Placement, check_gain_power, coupling_parameter, draw_channel
 from .errors import ConfigurationError, ReceiverUnavailableError
 from .metrics import EEParams, spectral_efficiency, utility
 from .optimize import scan_unimodal
 from .scenario import RECEIVERS
-from .seeding import ensure_rng
 from .spreading import (
     SpreadingCodeSet,
     dec_eff_interference,
@@ -103,7 +102,7 @@ def sweep_tradeoff(
     draws = 1 if fading == "none" else int(fading_draws)
     if draws < 1:
         raise ConfigurationError("fading_draws must be >= 1")
-    gen = ensure_rng(rng)
+    gen = np.random.default_rng(rng)
 
     if receiver == "dec" and (reason := decorrelator_load_error(users, codes.processing_gain)):
         raise ReceiverUnavailableError(reason)
@@ -111,6 +110,7 @@ def sweep_tradeoff(
     gain_power = np.stack(
         [draw_channel(placement, path_loss_exponent, fading, gen).gain_power for _ in range(draws)]
     )
+    check_gain_power(gain_power)
     if receiver == "mf":
         # The interest user's own power never enters its MAI; 0 stands in for it.
         power = np.broadcast_to(np.concatenate(([0.0], others)), gain_power.shape)

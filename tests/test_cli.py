@@ -238,10 +238,28 @@ def test_compare_rejects_malformed_run(tmp_path, capsys, damage, file, named):
     assert str(run_dir / file) in err and named in err
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # only `compare` needs SciPy; every other command should not pay its import
+@pytest.mark.parametrize("command", ["run", "solve", "tradeoff"])
+def test_underflowing_gains_exit_with_numeric_code(tmp_path, capsys, command):
+    # d^-200 underflows every gain power to 0, on the ring and in the trade-off geometry
+    config = write_config(tmp_path, system={"path_loss_exponent": 200.0})
+    assert main([command, "--config", str(config)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: channel gain powers") and err.count("\n") == 1
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # no command needs SciPy: two runs and a compare must not import it
     src = str(Path(cdma_ee.__file__).parents[1])
-    code = f"import sys; sys.path.insert(0, {src!r}); import cdma_ee.cli; "
-    code += "print('scipy' in sys.modules)"
+    runs = [tmp_path / "ra", tmp_path / "rb"]
+    configs = [
+        write_config(tmp_path, f"{run.name}.yaml", output_dir=str(run), realizations=3,
+                     system={"user_counts": [2], "algorithm": algorithm})
+        for run, algorithm in zip(runs, ["alg1", "baseline"])
+    ]
+    calls = [["run", "--config", str(c)] for c in configs]
+    calls.append(["compare", "--a", str(runs[0]), "--b", str(runs[1])])
+    code = f"import sys; sys.path.insert(0, {src!r}); from cdma_ee.cli import main; "
+    code += f"codes = [main(argv) for argv in {calls!r}]; "
+    code += "print(codes, 'scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0] False"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import cdma_ee as ce
 from cdma_ee.harness import (
     ScenarioConfig,
+    _t_quantile,
     aggregate_rows,
     config_from_dict,
     emit_results,
@@ -246,6 +248,46 @@ def test_paired_comparison_detects_signal():
     assert len(verdicts) == 2
     for v in verdicts:
         assert v.samples == 3
+
+
+# scipy.stats.t.ppf(0.975, dof), computed with SciPy 1.17.1
+T_975 = {
+    1: 12.706204736174694,
+    2: 4.302652729749462,
+    3: 3.1824463052837078,
+    5: 2.5705818356363146,
+    10: 2.228138851986274,
+    30: 2.0422724563012378,
+    100: 1.9839715185235518,
+    199: 1.9719565442517533,
+    1000: 1.9623390808264083,
+    1999: 1.9611514201705613,
+}
+
+
+@pytest.mark.parametrize("dof", sorted(T_975))
+def test_t_quantile_matches_reference_table(dof):
+    assert _t_quantile(0.975, dof) == pytest.approx(T_975[dof], rel=1e-12, abs=0.0)
+
+
+def test_paired_comparison_interval_is_mean_plus_minus_t_sem():
+    report = run_experiment(tiny_config())
+    diffs = {2: [2.0, 3.0, 4.0], 3: [-3.0, -2.5, -2.0]}
+
+    def with_ee(offsets):
+        rows = [dataclasses.replace(r, global_ee=offsets(r)) for r in report.rows]
+        return dataclasses.replace(report, rows=rows)
+
+    report_a = with_ee(lambda r: 10.0 + diffs[r.k_users][r.realization])
+    report_b = with_ee(lambda r: 10.0)
+    verdicts = paired_comparison(report_a, report_b, "global_ee")
+    assert [v.verdict for v in verdicts] == ["a>b", "b>a"]
+    for v in verdicts:
+        d = np.asarray(diffs[v.k_users])
+        half = T_975[2] * np.std(d, ddof=1) / np.sqrt(3)
+        assert v.samples == 3 and v.mean_diff == pytest.approx(np.mean(d), rel=1e-15)
+        assert v.ci_low == pytest.approx(np.mean(d) - half, rel=1e-12)
+        assert v.ci_high == pytest.approx(np.mean(d) + half, rel=1e-12)
 
 
 def test_paired_comparison_refusals():
