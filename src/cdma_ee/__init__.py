@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .channel import (
     ChannelState,
     FixedGeometry,
-    Placement,
     RingGeometry,
     coupling_parameter,
     draw_channel,
@@ -28,7 +27,6 @@ from .metrics import (
     EEParams,
     dbm_to_watt,
     global_ee,
-    min_sinr,
     packet_success,
     rate,
     sinr_gap,

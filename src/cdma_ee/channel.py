@@ -54,34 +54,19 @@ Geometry = RingGeometry | FixedGeometry
 
 
 @dataclass(frozen=True)
-class Placement:
-    """Distances from the base station in metres, one entry per user."""
-
-    distances: np.ndarray
-
-    @property
-    def user_count(self) -> int:
-        return self.distances.size
-
-
-@dataclass(frozen=True)
 class ChannelState:
     """Complex uplink gains and their squared magnitudes (gain_power = |h|^2)."""
 
     gains: np.ndarray
     gain_power: np.ndarray
 
-    @property
-    def user_count(self) -> int:
-        return self.gains.size
-
 
 def draw_placement(
     geometry: Geometry,
     user_count: int,
     rng: int | None | np.random.Generator = None,
-) -> Placement:
-    """Draw user distances for the given geometry.
+) -> np.ndarray:
+    """Draw user distances from the base station in metres, one per user.
 
     Fixed geometry returns the configured distances verbatim (interest user
     first); ring geometry draws i.i.d. uniform radii in
@@ -95,41 +80,45 @@ def draw_placement(
             raise ConfigurationError(
                 f"fixed geometry describes {len(distances)} users, requested {user_count}"
             )
-        return Placement(np.asarray(distances, dtype=float))
+        return np.asarray(distances, dtype=float)
     if isinstance(geometry, RingGeometry):
         gen = np.random.default_rng(rng)
-        radii = gen.uniform(geometry.inner_radius, geometry.outer_radius, size=user_count)
-        return Placement(radii)
+        return gen.uniform(geometry.inner_radius, geometry.outer_radius, size=user_count)
     raise ConfigurationError(f"unknown geometry {geometry!r}")
 
 
 def draw_channel(
-    placement: Placement,
+    distances: np.ndarray,
     path_loss_exponent: float = 2.0,
     fading: str = "rayleigh",
     rng: int | None | np.random.Generator = None,
 ) -> ChannelState:
-    """Combine deterministic path loss with one flat-fading draw per user."""
+    """Combine deterministic path loss with one flat-fading draw per entry of ``distances``."""
     if path_loss_exponent <= 0.0:
         raise ConfigurationError("path_loss_exponent must be positive")
     if fading not in FADING_KINDS:
         raise ConfigurationError(f"fading must be one of {FADING_KINDS}, got {fading!r}")
-    amplitude = placement.distances ** (-path_loss_exponent / 2.0)
+    amplitude = np.asarray(distances, dtype=float) ** (-path_loss_exponent / 2.0)
     if fading == "none":
         gains = amplitude.astype(complex)
     else:
         gen = np.random.default_rng(rng)
-        # (K, 2) layout keeps the draws for K users a prefix of those for K+1.
-        normals = gen.standard_normal((placement.user_count, 2))
-        gains = amplitude * (normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2.0)
+        # A trailing (re, im) axis keeps the draws for K users a prefix of those for K+1,
+        # and makes a (draws, K) array the same stream as `draws` successive (K,) calls.
+        normals = gen.standard_normal((*amplitude.shape, 2))
+        gains = amplitude * (normals[..., 0] + 1j * normals[..., 1]) / np.sqrt(2.0)
     gain_power = gains.real**2 + gains.imag**2
     return ChannelState(gains=gains, gain_power=gain_power)
 
 
-def check_gain_power(gain_power: np.ndarray) -> None:
-    """Refuse gain powers that under- or overflow: their reciprocals enter every SINR."""
+def check_gain_power(gain_power: np.ndarray, noise_power: float) -> None:
+    """Refuse gain powers that under- or overflow, and gains that overflow the smallest
+    effective interference either receiver yields, ``noise_power / gain_power``."""
     if not np.all((gain_power >= np.finfo(float).tiny) & (gain_power < np.inf)):
         raise FloatingPointError("channel gain powers under- or overflow; check path_loss_exponent")
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(noise_power / gain_power)):
+            raise FloatingPointError("effective interference overflows; check noise_power_w")
 
 
 def coupling_parameter(mean_interest_gain: float, mean_interferer_gain: float) -> float:

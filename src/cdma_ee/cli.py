@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import FixedGeometry, draw_placement
 from .control import ALGORITHMS
 from .errors import ConfigurationError, NotConvergedError, ReceiverUnavailableError
 from .harness import (
@@ -104,12 +103,8 @@ def _cmd_tradeoff(args) -> int:
     )
     summary = {}
     for distance in settings.interferer_distances:
-        geometry = FixedGeometry(
-            settings.interest_distance, (distance,) * (settings.user_count - 1)
-        )
-        placement = draw_placement(geometry, settings.user_count)
         curve = sweep_tradeoff(
-            placement,
+            (settings.interest_distance, *(distance,) * (settings.user_count - 1)),
             codes,
             params,
             config.receiver,
@@ -197,7 +192,7 @@ def _cmd_solve(args) -> int:
     for k in range(k_users):
         ee_k = utility(power[k], sinr[k], params, gap) if active[k] else 0.0
         print(
-            f"{k:>4} {scenario.placement.distances[k]:>9.2f} "
+            f"{k:>4} {scenario.placement[k]:>9.2f} "
             f"{scenario.channel.gain_power[k]:>12.4e} {target[k]:>12.4e} "
             f"{power[k]:>12.4e} {sinr[k]:>12.4e} {rates[k]:>12.4e} {float(ee_k):>12.4e}"
         )

@@ -185,7 +185,7 @@ def run_control_batch(
         raise ConfigurationError("iterations must be >= 1")
 
     gain_power = np.asarray(gain_power, dtype=float)
-    check_gain_power(gain_power)
+    check_gain_power(gain_power, params.noise_power)
     batch, users = gain_power.shape
     correlation = np.asarray(correlation, dtype=float)
     if correlation.shape != (batch, users, users):

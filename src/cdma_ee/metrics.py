@@ -46,11 +46,6 @@ def spectral_efficiency(sinr, gap):
     return np.log1p(gap * np.asarray(sinr, dtype=float)) / LN2
 
 
-def min_sinr(min_rate, bandwidth, gap):
-    """Smallest SINR sustaining ``min_rate`` (inverse of the rate formula)."""
-    return (np.exp2(np.asarray(min_rate, dtype=float) / bandwidth) - 1.0) / gap
-
-
 def packet_success(sinr, packet_bits):
     """(1 - exp(-sinr))^packet_bits, computed in log space to avoid underflow."""
     sinr = np.asarray(sinr, dtype=float)
@@ -92,10 +87,6 @@ class EEParams:
 
     def gap(self) -> float:
         return sinr_gap(self.ber)
-
-    def sinr_floor(self) -> float:
-        """Minimum SINR implied by ``min_rate``."""
-        return min_sinr(self.min_rate, self.bandwidth, self.gap())
 
 
 def utility(power, sinr, params: EEParams, gap) -> float | np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelState, Geometry, Placement, draw_channel, draw_placement
+from .channel import ChannelState, Geometry, draw_channel, draw_placement
 from .errors import ConfigurationError
 from .spreading import SpreadingCodeSet, generate_codes
 
@@ -18,7 +18,7 @@ RECEIVERS = ("mf", "dec")
 class NetworkScenario:
     """Static description of one realization of the uplink."""
 
-    placement: Placement
+    placement: np.ndarray           # distances from the base station in metres
     channel: ChannelState
     codes: SpreadingCodeSet
     receiver: str
@@ -29,7 +29,7 @@ class NetworkScenario:
 
     @property
     def user_count(self) -> int:
-        return self.channel.user_count
+        return self.placement.size
 
 
 def draw_scenario(
@@ -54,7 +54,7 @@ def draw_scenario(
 def scenario_checksum(scenario: NetworkScenario) -> str:
     """Short digest of the random draws, used to verify paired comparisons."""
     digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(scenario.placement.distances).tobytes())
+    digest.update(np.ascontiguousarray(scenario.placement).tobytes())
     digest.update(np.ascontiguousarray(scenario.channel.gains).tobytes())
     digest.update(np.ascontiguousarray(scenario.codes.chips).tobytes())
     return digest.hexdigest()[:16]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Placement, check_gain_power, coupling_parameter, draw_channel
+from .channel import check_gain_power, coupling_parameter, draw_channel
 from .errors import ConfigurationError, ReceiverUnavailableError
 from .metrics import EEParams, spectral_efficiency, utility
 from .optimize import scan_unimodal
@@ -26,6 +26,8 @@ from .spreading import (
 )
 
 SWEEP_POINTS = 400
+# Values per (draws x grid) block of the sweep: bounds its temporaries whatever the grid size.
+BLOCK_VALUES = 20_000
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ def default_sweep_grid(max_power: float, points: int = SWEEP_POINTS) -> np.ndarr
 
 
 def sweep_tradeoff(
-    placement: Placement,
+    distances,
     codes: SpreadingCodeSet,
     params: EEParams,
     receiver: str,
@@ -78,7 +80,10 @@ def sweep_tradeoff(
     path_loss_exponent: float = 2.0,
     rng: int | None | np.random.Generator = None,
 ) -> TradeoffCurve:
-    """Average SE/EE over fading draws for every power on the sweep grid."""
+    """Average SE/EE over fading draws for every power on the sweep grid.
+
+    ``distances`` are the users' distances in metres, the interest user first.
+    """
     if receiver not in RECEIVERS:
         raise ConfigurationError(f"receiver must be one of {RECEIVERS}")
     grid = default_sweep_grid(params.max_power) if sweep_powers is None else np.asarray(
@@ -91,9 +96,10 @@ def sweep_tradeoff(
     if grid[-1] > params.max_power * (1.0 + 1e-12):
         raise ConfigurationError("sweep grid exceeds max_power")
 
-    users = placement.user_count
+    distances = np.asarray(distances, dtype=float)
+    users = distances.size
     if users < 1:
-        raise ConfigurationError("placement must contain the interest user")
+        raise ConfigurationError("distances must include the interest user")
     others = np.broadcast_to(np.asarray(interferer_power, dtype=float), (users - 1,))
     if np.any(others < 0.0):
         raise ConfigurationError("interferer powers must be >= 0")
@@ -102,15 +108,14 @@ def sweep_tradeoff(
     draws = 1 if fading == "none" else int(fading_draws)
     if draws < 1:
         raise ConfigurationError("fading_draws must be >= 1")
-    gen = np.random.default_rng(rng)
 
     if receiver == "dec" and (reason := decorrelator_load_error(users, codes.processing_gain)):
         raise ReceiverUnavailableError(reason)
 
-    gain_power = np.stack(
-        [draw_channel(placement, path_loss_exponent, fading, gen).gain_power for _ in range(draws)]
-    )
-    check_gain_power(gain_power)
+    gain_power = draw_channel(
+        np.broadcast_to(distances, (draws, users)), path_loss_exponent, fading, rng
+    ).gain_power
+    check_gain_power(gain_power, params.noise_power)
     if receiver == "mf":
         # The interest user's own power never enters its MAI; 0 stands in for it.
         power = np.broadcast_to(np.concatenate(([0.0], others)), gain_power.shape)
@@ -121,26 +126,27 @@ def sweep_tradeoff(
             gain_power, codes.correlation, np.ones(users, dtype=bool), params.noise_power
         )
 
-    se_sum = np.zeros(grid.size)
-    ee_sum = np.zeros(grid.size)
-    sinr_sum = np.zeros(grid.size)
-    interest_gain_sum = 0.0
-    interferer_gain_sum = 0.0
-    for h2, itf in zip(gain_power, eff_itf[:, 0]):
-        interest_gain_sum += h2[0]
-        if users > 1:
-            interferer_gain_sum += float(np.mean(h2[1:]))
-        sinr = grid / itf
-        se_sum += spectral_efficiency(sinr, gap)
-        ee_sum += utility(grid, sinr, params, gap)
-        sinr_sum += sinr
+    # Stacking the running sums on a block and reducing over axis 0 adds the rows one at a
+    # time in draw order, so the curves do not depend on the block size; the 1-D pairwise
+    # np.sum, or running + block.sum(axis=0), would associate the additions differently.
+    se_sum = ee_sum = sinr_sum = np.zeros(grid.size)
+    step = max(1, BLOCK_VALUES // grid.size)
+    for itf in np.split(eff_itf[:, 0], range(step, draws, step)):
+        sinr = grid / itf[:, None]
+        se_sum = np.vstack([se_sum, spectral_efficiency(sinr, gap)]).sum(axis=0)
+        ee_sum = np.vstack([ee_sum, utility(grid, sinr, params, gap)]).sum(axis=0)
+        sinr_sum = np.vstack([sinr_sum, sinr]).sum(axis=0)
 
     se = se_sum / draws
     ee = ee_sum / draws
     sinr = sinr_sum / draws
     max_ee_index = int(np.argmax(ee))
+    # cumsum adds the draws in order too, where np.sum would add them pairwise.
     coupling = (
-        coupling_parameter(interest_gain_sum / draws, interferer_gain_sum / draws)
+        coupling_parameter(
+            np.cumsum(gain_power[:, 0])[-1] / draws,
+            np.cumsum(gain_power[:, 1:].mean(axis=1))[-1] / draws,
+        )
         if users > 1
         else float("nan")
     )

@@ -368,7 +368,7 @@ def test_criterion_10_alg2_degenerates_to_alg1():
         ber=1e-3,
         min_rate=2e6,
     )
-    assert float(params.sinr_floor()) > 7.3
+    assert ce.rate(7.3, params.gap(), params.bandwidth) < params.min_rate
     with_removals = 0
     for seed in range(12):
         scenario = ce.draw_scenario(

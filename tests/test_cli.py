@@ -247,6 +247,15 @@ def test_underflowing_gains_exit_with_numeric_code(tmp_path, capsys, command):
     assert err.startswith("numerical error: channel gain powers") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["run", "solve", "tradeoff"])
+def test_overflowing_interference_exits_with_numeric_code(tmp_path, capsys, command):
+    # normal gains, but noise_power / gain_power overflows for every user
+    config = write_config(tmp_path, radio={"noise_power_w": 1.0e307})
+    assert main([command, "--config", str(config)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: effective interference") and err.count("\n") == 1
+
+
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # no command needs SciPy: two runs and a compare must not import it
     src = str(Path(cdma_ee.__file__).parents[1])

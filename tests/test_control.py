@@ -158,7 +158,7 @@ def test_alg2_reduces_to_alg1_when_min_sinr_dominates():
         ber=1e-3,
         min_rate=2e6,
     )
-    assert params.sinr_floor() > 7.3
+    assert ce.rate(7.3, params.gap(), params.bandwidth) < params.min_rate
     removal_seen = False
     for seed in range(8):
         scenario = ce.draw_scenario(ce.RingGeometry(50.0, 200.0), 10, 15, "mf", seed=seed)

@@ -43,18 +43,11 @@ def test_rate_and_spectral_efficiency():
     assert ce.rate(sinr, gap, 1e6) == pytest.approx(1e6 * ce.spectral_efficiency(sinr, gap))
 
 
-def test_min_sinr_values():
-    gap = ce.sinr_gap(1e-3)
-    assert ce.min_sinr(0.0, 1e6, gap) == 0.0
-    assert ce.min_sinr(5e5, 1e6, gap) == pytest.approx((2**0.5 - 1.0) / gap, rel=1e-12)
-    assert ce.min_sinr(1e6, 1e6, gap) == pytest.approx(1.0 / gap, rel=1e-12)
-
-
 def test_min_sinr_rate_round_trip():
     gap = ce.sinr_gap(1e-3)
     rng = np.random.default_rng(3)
     for min_rate in rng.uniform(1e4, 5e6, size=25):
-        sinr = ce.min_sinr(min_rate, 1e6, gap)
+        sinr = (2.0 ** (min_rate / 1e6) - 1.0) / gap
         assert ce.rate(sinr, gap, 1e6) == pytest.approx(min_rate, rel=1e-9)
 
 
@@ -184,6 +177,8 @@ def test_ee_params_validation():
 def test_ee_params_derived_quantities(fig_params):
     assert fig_params.load_fraction == pytest.approx(0.625)
     assert fig_params.gap() == pytest.approx(ce.sinr_gap(1e-3))
-    assert fig_params.sinr_floor() == pytest.approx(
-        (2**0.5 - 1.0) / ce.sinr_gap(1e-3), rel=1e-12
+    # min_rate is half the bandwidth, so the SINR that sustains it is (sqrt(2) - 1) / gap
+    floor = (2**0.5 - 1.0) / fig_params.gap()
+    assert ce.rate(floor, fig_params.gap(), fig_params.bandwidth) == pytest.approx(
+        fig_params.min_rate, rel=1e-12
     )

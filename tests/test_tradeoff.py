@@ -7,46 +7,99 @@ from cdma_ee.tradeoff import TradeoffCurve
 from conftest import best_response_power, gamma_star
 
 
-def fig_placement(distance, users=3):
-    return ce.draw_placement(ce.FixedGeometry(50.0, (distance,) * (users - 1)), users)
+def fig_distances(distance, users=3):
+    return (50.0, *(distance,) * (users - 1))
+
+
+def reference_sweep(distances, codes, params, receiver, interferer_power, draws, rng):
+    """Per-draw loop: one (K,) fading draw and one row of grid values per draw."""
+    users = len(distances)
+    grid = ce.default_sweep_grid(params.max_power)
+    gain_power = np.stack(
+        [ce.draw_channel(distances, 2.0, "rayleigh", rng).gain_power for _ in range(draws)]
+    )
+    if receiver == "mf":
+        power = np.broadcast_to([0.0] + [interferer_power] * (users - 1), gain_power.shape)
+        weights = np.broadcast_to(ce.mf_mai_weights(codes.correlation), (draws, users, users))
+        _, eff_itf = ce.mf_sinr(power, gain_power, weights, params.noise_power)
+    else:
+        eff_itf = ce.dec_eff_interference(
+            gain_power, codes.correlation, np.ones(users, dtype=bool), params.noise_power
+        )
+    gap = params.gap()
+    se_sum, ee_sum, sinr_sum = np.zeros(grid.size), np.zeros(grid.size), np.zeros(grid.size)
+    interest_sum = interferer_sum = 0.0
+    for h2, itf in zip(gain_power, eff_itf[:, 0]):
+        interest_sum += h2[0]
+        if users > 1:
+            interferer_sum += float(np.mean(h2[1:]))
+        sinr = grid / itf
+        se_sum += ce.spectral_efficiency(sinr, gap)
+        ee_sum += ce.utility(grid, sinr, params, gap)
+        sinr_sum += sinr
+    coupling = (
+        ce.coupling_parameter(interest_sum / draws, interferer_sum / draws)
+        if users > 1
+        else np.nan
+    )
+    return se_sum / draws, ee_sum / draws, sinr_sum / draws, coupling
+
+
+@pytest.mark.parametrize("users", [1, 3, 12])
+@pytest.mark.parametrize("receiver", ["mf", "dec"])
+def test_sweep_matches_per_draw_reference_loop(fig_params, receiver, users):
+    # 137 draws do not fill a whole number of blocks at the 400-point grid
+    codes = ce.generate_codes(15, users, 5)
+    distances = fig_distances(80.0, users)
+    curve = ce.sweep_tradeoff(
+        distances, codes, fig_params, receiver, 1e-2, fading_draws=137,
+        rng=np.random.default_rng(21),
+    )
+    se, ee, sinr, coupling = reference_sweep(
+        distances, codes, fig_params, receiver, 1e-2, 137, np.random.default_rng(21)
+    )
+    assert np.array_equal(curve.se, se)
+    assert np.array_equal(curve.ee, ee)
+    assert np.array_equal(curve.sinr, sinr)
+    assert np.array_equal(curve.coupling, coupling, equal_nan=True)
 
 
 def test_sweep_grid_validation(fig_params):
     codes = ce.generate_codes(15, 3, 0)
-    placement = fig_placement(200.0)
+    distances = fig_distances(200.0)
     with pytest.raises(ce.ConfigurationError):
-        ce.sweep_tradeoff(placement, codes, fig_params, "mf", 1e-2, sweep_powers=np.array([]))
+        ce.sweep_tradeoff(distances, codes, fig_params, "mf", 1e-2, sweep_powers=np.array([]))
     with pytest.raises(ce.ConfigurationError):
         ce.sweep_tradeoff(
-            placement, codes, fig_params, "mf", 1e-2, sweep_powers=np.array([1e-3, 1e-4])
+            distances, codes, fig_params, "mf", 1e-2, sweep_powers=np.array([1e-3, 1e-4])
         )
     with pytest.raises(ce.ConfigurationError):
         ce.sweep_tradeoff(
-            placement, codes, fig_params, "mf", 1e-2, sweep_powers=np.array([1e-3, 2e-2])
+            distances, codes, fig_params, "mf", 1e-2, sweep_powers=np.array([1e-3, 2e-2])
         )
     with pytest.raises(ce.ConfigurationError):
-        ce.sweep_tradeoff(placement, codes, fig_params, "zf", 1e-2)
+        ce.sweep_tradeoff(distances, codes, fig_params, "zf", 1e-2)
 
 
 def test_dec_curve_ignores_interferer_powers(fig_params):
     codes = ce.generate_codes(15, 3, 1)
-    placement = fig_placement(100.0)
-    a = ce.sweep_tradeoff(placement, codes, fig_params, "dec", 1e-2, fading="none")
-    b = ce.sweep_tradeoff(placement, codes, fig_params, "dec", 1e-9, fading="none")
+    distances = fig_distances(100.0)
+    a = ce.sweep_tradeoff(distances, codes, fig_params, "dec", 1e-2, fading="none")
+    b = ce.sweep_tradeoff(distances, codes, fig_params, "dec", 1e-9, fading="none")
     assert np.array_equal(a.ee, b.ee)
     assert np.array_equal(a.se, b.se)
 
 
 def test_curve_shape_flags_and_cross_module_consistency(fig_params):
     codes = ce.generate_codes(15, 3, 42)
-    placement = fig_placement(200.0)
-    curve = ce.sweep_tradeoff(placement, codes, fig_params, "mf", 1e-2, fading="none")
+    distances = fig_distances(200.0)
+    curve = ce.sweep_tradeoff(distances, codes, fig_params, "mf", 1e-2, fading="none")
     assert curve.se_monotone
     assert curve.ee_unimodal
     assert curve.lambda_gap >= 0.0
     # the EE peak on the grid agrees with the stationarity solver through the
     # best-response map, within one grid step
-    channel = ce.draw_channel(placement, 2.0, "none")
+    channel = ce.draw_channel(distances, 2.0, "none")
     _, eff_interference = ce.mf_sinr(
         np.array([[0.0, 1e-2, 1e-2]]),
         channel.gain_power[None],
@@ -66,7 +119,7 @@ def test_mf_lambda_gap_shrinks_with_interference(fig_params):
     gaps = {}
     for distance in (200.0, 100.0, 80.0):
         curve = ce.sweep_tradeoff(
-            fig_placement(distance),
+            fig_distances(distance),
             codes,
             fig_params,
             "mf",
@@ -87,7 +140,7 @@ def test_zero_circuit_power_peak_sinr_invariant(no_circuit_params):
     peaks = []
     for distance in (200.0, 100.0, 80.0):
         curve = ce.sweep_tradeoff(
-            fig_placement(distance),
+            fig_distances(distance),
             codes,
             no_circuit_params,
             "mf",
@@ -103,7 +156,7 @@ def test_zero_circuit_power_peak_sinr_invariant(no_circuit_params):
 def test_coupling_reported_with_reciprocal(fig_params):
     codes = ce.generate_codes(15, 3, 3)
     curve = ce.sweep_tradeoff(
-        fig_placement(200.0), codes, fig_params, "mf", 1e-2, fading="none"
+        fig_distances(200.0), codes, fig_params, "mf", 1e-2, fading="none"
     )
     assert curve.coupling == pytest.approx(16.0, rel=1e-9)
     assert curve.coupling_reciprocal == pytest.approx(1.0 / 16.0, rel=1e-9)
@@ -143,16 +196,16 @@ def test_gap_lambda_synthetic_curve():
 
 def test_fading_none_collapses_draw_count(fig_params):
     codes = ce.generate_codes(15, 2, 0)
-    placement = fig_placement(100.0, users=2)
+    distances = fig_distances(100.0, users=2)
     curve = ce.sweep_tradeoff(
-        placement, codes, fig_params, "mf", 1e-2, fading="none", fading_draws=5000
+        distances, codes, fig_params, "mf", 1e-2, fading="none", fading_draws=5000
     )
     assert curve.fading_draws == 1
 
 
 def test_single_user_sweep_has_nan_coupling(fig_params):
     codes = ce.generate_codes(15, 1, 0)
-    placement = ce.draw_placement(ce.FixedGeometry(50.0, ()), 1)
-    curve = ce.sweep_tradeoff(placement, codes, fig_params, "mf", (), fading="none")
+    distances = ce.draw_placement(ce.FixedGeometry(50.0, ()), 1)
+    curve = ce.sweep_tradeoff(distances, codes, fig_params, "mf", (), fading="none")
     assert np.isnan(curve.coupling)
     assert curve.se_monotone
