@@ -1,6 +1,6 @@
 """Verhulst power allocation with outage removal and the max-power baseline.
 
-Three schemes share one inner loop of fixed length:
+Three schemes share one inner loop:
 
 * ``alg1`` removes, round by round, the worst-gain user whose achieved SINR
   stays below its EE-optimal target;
@@ -13,14 +13,17 @@ the synchronous update
 
     p <- clamp((1 + a) p - a (sinr/target) p, [0, max_power])
 
-for the configured number of iterations, and re-solves the EE-optimal target
-from the current effective interference as it goes (every iteration under the
-matched filter, where interference moves with the powers; once per round
-under the decorrelator, whose SINR does not depend on the other powers).
+and re-solves the EE-optimal target from the current effective interference
+as it goes (every iteration under the matched filter, where interference moves
+with the powers; once per round under the decorrelator, whose SINR does not
+depend on the other powers).  Its results equal those of the configured number
+of iterations: a realization whose loop state repeats exactly is periodic from
+there on, so it stops and its final state is read off the cycle.
 
 The loop is written over batches of same-sized realizations.  All maths is
-element-wise or per-row, so each realization's trajectory is bit-identical no
-matter how realizations are grouped into batches or split across workers.
+element-wise or per-row, so each realization's trajectory, and the iteration
+at which it stops, is bit-identical no matter how realizations are grouped
+into batches or split across workers.
 """
 
 from __future__ import annotations
@@ -44,6 +47,10 @@ ALGORITHMS = ("alg1", "alg2", "baseline")
 REMOVAL_SINR_REL_TOL = 1e-2
 POWER_STABLE_REL_TOL = 1e-6
 SINR_STABLE_REL_TOL = 1e-6
+# A round checks each row's loop state against an anchor saved every this many
+# iterations, so a cycle of period up to this length ends the row within two
+# windows of its start.
+REPEAT_WINDOW = 16
 # verify_nash: deviation grid size, the relative gain that breaks the
 # equilibrium, and the restart deviation that still counts as the same one.
 NASH_DEVIATION_POINTS = 200
@@ -66,6 +73,7 @@ class BatchControlResult:
     stabilized_iteration: np.ndarray  # -1 where SINRs never settled
     target_flagged: np.ndarray
     failed: np.ndarray
+    iterations_run: np.ndarray  # Verhulst iterations each row ran, over all rounds
     failure_reasons: dict[int, str] = field(default_factory=dict)
 
 
@@ -88,6 +96,51 @@ def verhulst_step(power, sinr, target_sinr, alpha, max_power):
     return np.where(target_sinr > 0.0, updated, 0.0)
 
 
+def _settled(sinr, prev_sinr):
+    """Rows whose SINRs all moved by less than ``SINR_STABLE_REL_TOL``."""
+    shift = np.abs(sinr - prev_sinr) / np.maximum(np.abs(prev_sinr), 1e-300)
+    return shift.max(axis=1) < SINR_STABLE_REL_TOL
+
+
+def _movement(before, after, noise):
+    """Largest relative power movement of each row, floored at the noise power."""
+    movement = np.abs(after - before) / np.maximum(before, noise)
+    return movement.max(axis=1) if before.shape[1] else np.zeros(before.shape[0])
+
+
+def _same_bytes(a, b):
+    """Rows of two (B, K) float arrays that hold the same bytes."""
+    return (a.view(np.int64) == b.view(np.int64)).all(axis=1)
+
+
+def _compact(window, slots, keep):
+    """Move the kept rows of the first ``slots`` slots to the front, in place."""
+    count = np.count_nonzero(keep)
+    window[:slots, :count] = window[:slots, keep]
+    return window[:, :count]
+
+
+def _final_settling(cycle_sinr, stab, anchor, step, iterations):
+    """Settling iteration at the end of the round of rows that left at ``step``.
+
+    The rows cycle from state ``anchor`` on; ``cycle_sinr`` holds the SINRs of
+    one cycle of states from there and ``stab`` the settling iteration so far.
+    Iteration t compares the SINRs of states t and t - 1, so past the anchor
+    its settled flag repeats with the cycle phase of t, and the last unsettled
+    iteration still to run, if any, starts the final settled run.
+    """
+    period = len(cycle_sinr)
+    last_unsettled = np.full(stab.size, -1)
+    for phase in range(period):
+        last_t = iterations - 1 - (iterations - 1 - anchor - phase) % period
+        if last_t >= step:
+            calm = _settled(cycle_sinr[phase], cycle_sinr[phase - 1])
+            last_unsettled = np.where(calm, last_unsettled, np.maximum(last_unsettled, last_t))
+    carried = np.where(stab < 0, step, stab)
+    restarted = np.where(last_unsettled == iterations - 1, -1, last_unsettled + 1)
+    return np.where(last_unsettled < 0, carried, restarted)
+
+
 def _batch_round(
     gain_power,
     weights,
@@ -100,53 +153,130 @@ def _batch_round(
     resolve_each_iteration,
     trajectory=None,
 ):
-    """One fixed-length Verhulst round over a sub-batch; no removals here.
+    """One Verhulst round of ``iterations`` steps over a sub-batch; no removals here.
 
     Under the matched filter ``weights`` holds the MAI weights; under the
     decorrelator it is None and ``dec_itf`` holds the fixed effective
     interference (1.0 for inactive users).
+
+    A row's loop state is its powers, plus its targets under matched-filter
+    re-solving (they warm-start the next solve, whose result depends on the
+    guess to the last bit).  Every ``REPEAT_WINDOW`` iterations the state is
+    saved as an anchor; a row whose state repeats its anchor's bytes is
+    periodic from there on, so it leaves the batch and its final state, last
+    movement and settling iteration are read off the window of states since
+    the anchor.  Returns these with the iterations each row ran.
     """
     batch, users = gain_power.shape
     noise = params.noise_power
+    resolving = weights is not None and resolve_each_iteration
 
-    def observe(power):
-        if weights is not None:
-            return mf_sinr(power, gain_power, weights, noise)
-        return np.where(active, power / dec_itf, 0.0), dec_itf
+    def observe(power, inputs):
+        gain, mai_weights, itf, act = inputs
+        if mai_weights is not None:
+            return mf_sinr(power, gain, mai_weights, noise)
+        return np.where(act, power / itf, 0.0), itf
+
+    def take(inputs, rows):
+        return tuple(None if a is None else a[rows] for a in inputs)
 
     power = np.where(active, initial_power, 0.0)
     targets = np.zeros((batch, users))
-    active_row = np.nonzero(active)[0]  # the row of each active user, in mask order
-    prev_sinr = None
-    stabilized = np.full(batch, -1, dtype=int)
     flagged = np.zeros(batch, dtype=bool)
+    ran = np.full(batch, iterations)
+    final_power = np.empty((batch, users))
+    final_targets = np.empty((batch, users))
+    stabilized = np.empty(batch, dtype=int)
     last_change = np.zeros(batch)
 
+    # Live rows (indices into the sub-batch) and their compacted inputs and state.
+    live = np.arange(batch)
+    everyone = inputs = (gain_power, weights, dec_itf, active)
+    active_row = np.nonzero(active)[0]  # the live row of each active user, in mask order
+    stab = np.full(batch, -1, dtype=int)
+    prev_sinr = None
+    window = np.empty((REPEAT_WINDOW, batch, users))
+    target_window = np.empty((REPEAT_WINDOW, batch, users)) if resolving else None
+    cycles = []  # (rows, anchor iteration, cycle powers) of rows that left, for the trajectory
+
+    def snapshot(step):
+        full = np.empty((batch, users))
+        full[live] = power
+        for left, anchor, cycle in cycles:
+            full[left] = cycle[(step - anchor) % len(cycle)]
+        return full
+
     for it in range(iterations):
-        sinr, eff_itf = observe(power)
-        if it == 0 or (weights is not None and resolve_each_iteration):
+        sinr, eff_itf = observe(power, inputs)
+        if it == 0 or resolving:
+            act = inputs[3]
             # Only active users are solved; each warm-starts from its last target.
             solved, no_interior = solve_optimal_sinr_batch(
-                eff_itf[active], params, initial_guess=targets[active] if it else None
+                eff_itf[act], params, initial_guess=targets[act] if it else None
             )
-            targets[active] = solved
-            flagged[active_row[no_interior]] = True
+            targets[act] = solved
+            flagged[live[active_row[no_interior]]] = True
 
         updated = verhulst_step(power, sinr, targets, alpha, params.max_power)
         if it == iterations - 1:
-            movement = np.abs(updated - power) / np.maximum(power, noise)
-            last_change = movement.max(axis=1) if users else np.zeros(batch)
+            last_change[live] = _movement(power, updated, noise)
         if prev_sinr is not None:
-            shift = np.abs(sinr - prev_sinr) / np.maximum(np.abs(prev_sinr), 1e-300)
-            settled = shift.max(axis=1) < SINR_STABLE_REL_TOL
-            stabilized = np.where(settled, np.where(stabilized < 0, it, stabilized), -1)
+            settled = _settled(sinr, prev_sinr)
+            stab = np.where(settled, np.where(stab < 0, it, stab), -1)
         prev_sinr = sinr
         power = updated
+        step = it + 1  # the state after this iteration is state `step`
         if trajectory is not None:
-            trajectory.append(power.copy())
+            trajectory.append(snapshot(step))
+        if not REPEAT_WINDOW <= step < iterations:
+            continue
 
-    sinr, eff_itf = observe(power)
-    return power, sinr, targets, eff_itf, stabilized, last_change, flagged
+        slot = step % REPEAT_WINDOW
+        if step > REPEAT_WINDOW:
+            same = _same_bytes(power, window[0])
+            if resolving:
+                same &= _same_bytes(targets, target_window[0])
+            if same.any():
+                period = slot or REPEAT_WINDOW
+                anchor = step - period
+                done = np.flatnonzero(same)
+                left = live[done]
+                cycle = window[:period, done]
+                phase_end = (iterations - anchor) % period
+                final_power[left] = cycle[phase_end]
+                final_targets[left] = (
+                    target_window[phase_end, done] if resolving else targets[done]
+                )
+                last_change[left] = _movement(cycle[phase_end - 1], cycle[phase_end], noise)
+                leaving = take(inputs, done)
+                cycle_sinr = [observe(p, leaving)[0] for p in cycle]
+                stabilized[left] = _final_settling(cycle_sinr, stab[done], anchor, step, iterations)
+                ran[left] = step
+                if trajectory is not None:
+                    cycles.append((left, anchor, cycle))
+
+                keep = ~same
+                live, inputs = live[keep], take(inputs, keep)
+                active_row = np.nonzero(inputs[3])[0]
+                power, targets, stab = power[keep], targets[keep], stab[keep]
+                prev_sinr = prev_sinr[keep]
+                # Slots from `slot` on are overwritten before they are read again.
+                window = _compact(window, slot, keep)
+                if resolving:
+                    target_window = _compact(target_window, slot, keep)
+                if live.size == 0:
+                    break
+        window[slot] = power
+        if resolving:
+            target_window[slot] = targets
+
+    final_power[live] = power
+    final_targets[live] = targets
+    stabilized[live] = stab
+    if trajectory is not None:
+        trajectory.extend(snapshot(t) for t in range(step + 1, iterations + 1))
+    sinr, eff_itf = observe(final_power, everyone)
+    return final_power, sinr, final_targets, eff_itf, stabilized, last_change, flagged, ran
 
 
 def _removal_candidates(algorithm, sinr, targets, active, rates, min_rate):
@@ -174,8 +304,10 @@ def run_control_batch(
 
     ``gain_power`` is (B, K) and ``correlation`` (B, K, K).  Realizations whose
     decorrelator cannot be built are marked in ``failed`` instead of aborting
-    the batch.  ``trajectory`` (tests only) collects the power array after
-    every iteration.
+    the batch.  ``trajectory`` (for checks) collects the power array after
+    every iteration of every round, with the rows that left a round early
+    filled in from their cycle.  ``iterations_run`` counts the iterations each
+    row ran; the results equal those of ``iterations`` per round.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(f"algorithm must be one of {ALGORITHMS}")
@@ -200,6 +332,7 @@ def run_control_batch(
     active = np.ones((batch, users), dtype=bool)
     removed: list[list[int]] = [[] for _ in range(batch)]
     rounds = np.zeros(batch, dtype=int)
+    iterations_run = np.zeros(batch, dtype=int)
     done = np.zeros(batch, dtype=bool)
     failed = np.zeros(batch, dtype=bool)
     failure_reasons: dict[int, str] = {}
@@ -242,7 +375,7 @@ def run_control_batch(
                     continue
                 dec_itf = dec_itf[keep_idx]
 
-        power, sinr, targets, eff_itf, stab, change, flagged = _batch_round(
+        power, sinr, targets, eff_itf, stab, change, flagged, ran = _batch_round(
             gain_power[rows],
             weights[rows] if weights is not None else None,
             dec_itf,
@@ -254,6 +387,7 @@ def run_control_batch(
             resolve_each_iteration,
             trajectory=trajectory,
         )
+        iterations_run[rows] += ran
         rates = rate(sinr, params.gap(), params.bandwidth)
         below = _removal_candidates(algorithm, sinr, targets, active[rows], rates, params.min_rate)
         has_removal = below.any(axis=1)
@@ -291,6 +425,7 @@ def run_control_batch(
         stabilized_iteration=out_stab,
         target_flagged=out_flagged,
         failed=failed,
+        iterations_run=iterations_run,
         failure_reasons=failure_reasons,
     )
 

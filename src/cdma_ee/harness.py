@@ -229,6 +229,8 @@ class RunReport:
     aggregates: list[dict]
     errors: list[dict]
     version: str = __version__
+    # Per-K counters keyed by str(K): Verhulst iterations run against the budget.
+    diagnostics: dict = field(default_factory=dict)
 
 
 def aggregate_rows(rows: list[RealizationRecord], errors: list[dict]) -> list[dict]:
@@ -275,9 +277,18 @@ def run_realizations(config: ScenarioConfig, k_users: int, realizations: list[in
 
 
 def _run_chunk(config: ScenarioConfig, k_users: int, realizations: list[int]):
-    """Draw and run a block of realizations at one K (worker entry point)."""
+    """Draw and run a block of realizations at one K (worker entry point).
+
+    Returns the records, the errors and the Verhulst iterations the kept
+    realizations ran and were budgeted (rounds times ``iterations``).
+    """
     params = config.ee_params()
     scenarios, seeds, result = run_realizations(config, k_users, realizations)
+    kept = ~result.failed
+    iterations = (
+        int(result.iterations_run[kept].sum()),
+        int(result.rounds[kept].sum()) * config.iterations,
+    )
 
     records: list[RealizationRecord] = []
     errors: list[dict] = []
@@ -324,7 +335,7 @@ def _run_chunk(config: ScenarioConfig, k_users: int, realizations: list[int]):
                 draw_checksum=scenario_checksum(scenarios[b]),
             )
         )
-    return records, errors
+    return records, errors, iterations
 
 
 def resolve_workers(config_workers: int) -> int:
@@ -355,14 +366,17 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
                 tasks.append((k_users, split.tolist()))
 
     rows: list[RealizationRecord] = []
+    diagnostics: dict[str, dict] = {}
     if workers > 1 and tasks:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_chunk, [config] * len(tasks), *zip(*tasks)))
     else:
         outcomes = [_run_chunk(config, k, rs) for k, rs in tasks]
-    for records, chunk_errors in outcomes:
+    for (k_users, _), (records, chunk_errors, (run, budget)) in zip(tasks, outcomes):
         rows.extend(records)
         errors.extend(chunk_errors)
+        entry = diagnostics.setdefault(str(k_users), {"verhulst_iterations": Counter()})
+        entry["verhulst_iterations"].update(run=run, budget=budget)
 
     rows.sort(key=lambda row: (row.k_users, row.realization))
     errors.sort(key=lambda err: (err["k_users"], err.get("realization", -1)))
@@ -371,6 +385,7 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
         rows=rows,
         aggregates=aggregate_rows(rows, errors),
         errors=errors,
+        diagnostics=diagnostics,
     )
 
 
@@ -518,6 +533,7 @@ def emit_results(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
             "config": report.config.echo_dict(),
             "draw_checksums": {k: v.hexdigest()[:16] for k, v in checksums.items()},
             "errors": report.errors,
+            "diagnostics": report.diagnostics,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
         with meta_path.open("w") as handle:
@@ -574,6 +590,7 @@ def read_report(run_dir: str | Path) -> RunReport:
         aggregates=aggregate_rows(rows, errors),
         errors=errors,
         version=metadata.get("version", __version__),
+        diagnostics=metadata.get("diagnostics", {}),
     )
 
 

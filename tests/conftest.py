@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import cdma_ee as ce
-from cdma_ee.optimize import scan_unimodal
+from cdma_ee import control
+from cdma_ee.optimize import scan_unimodal, solve_optimal_sinr_batch
+from cdma_ee.spreading import mf_sinr
 
 
 @pytest.fixture
@@ -65,6 +67,63 @@ def gamma_star(eff_interference, params):
     for a scalar); flagged entries sit at the bracket ceiling."""
     sinr, _ = ce.solve_optimal_sinr_batch(np.asarray(eff_interference, dtype=float), params)
     return sinr[()]
+
+
+def reference_batch_round(
+    gain_power,
+    weights,
+    dec_itf,
+    active,
+    params,
+    iterations,
+    alpha,
+    initial_power,
+    resolve_each_iteration,
+    trajectory=None,
+):
+    """``control._batch_round`` as a loop that runs every one of its
+    ``iterations``: the reference its early exit must match bit for bit."""
+    batch, users = gain_power.shape
+    noise = params.noise_power
+
+    def observe(power):
+        if weights is not None:
+            return mf_sinr(power, gain_power, weights, noise)
+        return np.where(active, power / dec_itf, 0.0), dec_itf
+
+    power = np.where(active, initial_power, 0.0)
+    targets = np.zeros((batch, users))
+    active_row = np.nonzero(active)[0]
+    prev_sinr = None
+    stabilized = np.full(batch, -1, dtype=int)
+    flagged = np.zeros(batch, dtype=bool)
+    last_change = np.zeros(batch)
+
+    for it in range(iterations):
+        sinr, eff_itf = observe(power)
+        if it == 0 or (weights is not None and resolve_each_iteration):
+            solved, no_interior = solve_optimal_sinr_batch(
+                eff_itf[active], params, initial_guess=targets[active] if it else None
+            )
+            targets[active] = solved
+            flagged[active_row[no_interior]] = True
+
+        updated = control.verhulst_step(power, sinr, targets, alpha, params.max_power)
+        if it == iterations - 1:
+            movement = np.abs(updated - power) / np.maximum(power, noise)
+            last_change = movement.max(axis=1) if users else np.zeros(batch)
+        if prev_sinr is not None:
+            shift = np.abs(sinr - prev_sinr) / np.maximum(np.abs(prev_sinr), 1e-300)
+            settled = shift.max(axis=1) < control.SINR_STABLE_REL_TOL
+            stabilized = np.where(settled, np.where(stabilized < 0, it, stabilized), -1)
+        prev_sinr = sinr
+        power = updated
+        if trajectory is not None:
+            trajectory.append(power.copy())
+
+    sinr, eff_itf = observe(power)
+    ran = np.full(batch, iterations)
+    return power, sinr, targets, eff_itf, stabilized, last_change, flagged, ran
 
 
 # Verification oracles of the per-user problem: the single-peak check of the

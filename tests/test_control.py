@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import cdma_ee as ce
+from cdma_ee import control
 from cdma_ee.control import run_control_batch
 from cdma_ee.seeding import realization_seed
 
-from conftest import codes_from_signs, gamma_star, run_single
+from conftest import codes_from_signs, gamma_star, reference_batch_round, run_single
 
 
 def orthogonal_scenario(distances, receiver="mf"):
@@ -365,3 +368,101 @@ def test_algorithm_and_receiver_validation(fig_params):
         )
     with pytest.raises(ce.ConfigurationError):
         run_single(scenario, fig_params, iterations=0)
+
+
+# (receiver, algorithm, resolve targets, K, max power in dBm, realizations of
+# seed 20260810).  Under the DEC baseline the rows end in exact cycles of
+# period 1, 2, 3 and 6; under DEC alg1 with a 0 dBm cap rows 2 and 3 run three
+# and two rounds; under MF rows 9 and 11 never repeat within 500 iterations.
+EARLY_EXIT_CASES = {
+    "mf": ("mf", "alg1", True, 4, 10.0, [0, 1, 2, 3, 9, 11]),
+    "mf_fixed_targets": ("mf", "alg1", False, 4, 10.0, [0, 1, 2, 3, 9, 11]),
+    "dec_alg1": ("dec", "alg1", True, 6, 0.0, [0, 1, 2, 3, 4, 5]),
+    "dec_baseline": ("dec", "baseline", True, 3, 10.0, [2, 0, 10, 17, 4, 1, 14, 42]),
+}
+
+
+def _cycle_periods(trajectory, iterations):
+    """Period of each row's final power state in the first round (None if none)."""
+    powers = np.stack(trajectory[:iterations]).view(np.int64)
+    return [
+        next((p for p in range(1, 17) if np.array_equal(row[-1], row[-1 - p])), None)
+        for row in powers.transpose(1, 0, 2)
+    ]
+
+
+@pytest.mark.parametrize("sinr_tol", [control.SINR_STABLE_REL_TOL, 2e-16])
+@pytest.mark.parametrize("iterations", [500, 117, 60])
+@pytest.mark.parametrize("case", sorted(EARLY_EXIT_CASES))
+def test_early_exit_matches_full_length_loop(monkeypatch, fig_params, case, iterations, sinr_tol):
+    # A 2e-16 settling tolerance leaves some phases of the rounding-level
+    # cycles unsettled, so the settling iteration falls inside the last cycle.
+    monkeypatch.setattr(control, "SINR_STABLE_REL_TOL", sinr_tol)
+    receiver, algorithm, resolve, k, max_power_dbm, realizations = EARLY_EXIT_CASES[case]
+    params = dataclasses.replace(fig_params, max_power=ce.dbm_to_watt(max_power_dbm))
+    geometry = ce.RingGeometry(50.0, 200.0)
+    scenarios = [
+        ce.draw_scenario(geometry, k, 63, receiver, realization_seed(20260810, r))
+        for r in realizations
+    ]
+    gain = np.stack([s.channel.gain_power for s in scenarios])
+    corr = np.stack([s.codes.correlation for s in scenarios])
+
+    def run(gain, corr, trajectory=None):
+        return run_control_batch(
+            gain, corr, receiver, algorithm, params, iterations=iterations,
+            resolve_each_iteration=resolve, trajectory=trajectory,
+        )
+
+    expected_path, actual_path = [], []
+    with monkeypatch.context() as patch:
+        patch.setattr(control, "_batch_round", reference_batch_round)
+        expected = run(gain, corr, expected_path)
+    actual = run(gain, corr, actual_path)
+
+    compared = [f.name for f in dataclasses.fields(actual) if f.name != "iterations_run"]
+    for name in compared:
+        a, e = getattr(actual, name), getattr(expected, name)
+        assert (a == e if name in ("removed", "failure_reasons") else np.array_equal(a, e)), name
+    assert len(actual_path) == len(expected_path)
+    assert all(np.array_equal(a, e) for a, e in zip(actual_path, expected_path))
+    budget = expected.rounds * iterations
+    assert np.array_equal(expected.iterations_run, budget)
+    assert np.all(actual.iterations_run <= budget)
+    if iterations == 60:  # no row repeats this early
+        assert np.array_equal(actual.iterations_run, budget)
+    if iterations == 500:
+        assert np.any(actual.iterations_run < budget)
+    if case in ("dec_baseline", "mf") and iterations == 500:
+        assert np.unique(actual.iterations_run).size > 1  # rows leave at different iterations
+    if case == "dec_baseline" and iterations == 500:
+        assert {1, 2, 3, 6} <= set(_cycle_periods(expected_path, iterations))
+    if case == "mf" and iterations == 500:
+        assert np.any(actual.iterations_run == budget)
+    if case == "dec_alg1":
+        assert actual.rounds.max() >= 3
+
+    for b in range(len(scenarios)):
+        single = run(gain[b : b + 1], corr[b : b + 1])
+        assert single.removed[0] == actual.removed[b]
+        for name in [*compared, "iterations_run"]:
+            if name not in ("removed", "failure_reasons"):
+                assert np.array_equal(getattr(single, name)[0], getattr(actual, name)[b]), name
+
+
+def test_early_exit_keeps_settling_that_starts_on_the_anchor(monkeypatch, fig_params):
+    # A lone DEC user still climbing from the noise floor jumps onto a cap set
+    # between its 31st and 32nd unclipped powers: state 32, the second anchor,
+    # starts a period-1 cycle, and the SINRs first settle at iteration 33.
+    scenario = orthogonal_scenario([50.0], receiver="dec")
+    path = []
+    run_single(scenario, fig_params, algorithm="baseline", iterations=40, trajectory=path)
+    cap = 0.5 * (path[30][0, 0] + path[31][0, 0])
+    params = dataclasses.replace(fig_params, max_power=cap)
+    actual = run_single(scenario, params, algorithm="baseline")
+    with monkeypatch.context() as patch:
+        patch.setattr(control, "_batch_round", reference_batch_round)
+        expected = run_single(scenario, params, algorithm="baseline")
+    assert actual.iterations_run[0] == 2 * control.REPEAT_WINDOW + 1
+    assert actual.stabilized_iteration[0] == expected.stabilized_iteration[0] == 33
+    assert actual.power[0, 0] == expected.power[0, 0] == cap

@@ -195,13 +195,28 @@ def test_emit_rerun_is_byte_identical(tmp_path):
     assert meta_a == meta_b
 
 
-def test_parallel_run_matches_serial(tmp_path):
-    serial = run_experiment(tiny_config(workers=0))
-    parallel = run_experiment(tiny_config(workers=2))
+@pytest.mark.parametrize("receiver", ["mf", "dec"])
+def test_parallel_run_matches_serial(tmp_path, receiver):
+    serial = run_experiment(tiny_config(workers=0, receiver=receiver))
+    parallel = run_experiment(tiny_config(workers=2, receiver=receiver))
     assert serial.rows == parallel.rows
+    assert serial.diagnostics == parallel.diagnostics
     emit_results(serial, tmp_path / "s")
     emit_results(parallel, tmp_path / "p")
     assert (tmp_path / "s/raw.csv").read_bytes() == (tmp_path / "p/raw.csv").read_bytes()
+
+
+def test_metadata_counts_verhulst_iterations_per_k(tmp_path):
+    config = tiny_config(realizations=4, iterations=300)
+    report = run_experiment(config)
+    paths = emit_results(report, tmp_path / "out")
+    diagnostics = json.loads(paths["metadata"].read_text())["diagnostics"]
+    assert set(diagnostics) == {"2", "3"}
+    for k, entry in diagnostics.items():
+        counts = entry["verhulst_iterations"]
+        rounds = sum(row.rounds for row in report.rows if row.k_users == int(k))
+        assert counts["budget"] == rounds * config.iterations
+        assert 0 < counts["run"] < counts["budget"]  # rows here leave their rounds early
 
 
 def test_workers_env_override(monkeypatch):
