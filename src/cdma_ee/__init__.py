@@ -13,16 +13,10 @@ from .channel import (
 from .control import (
     ALGORITHMS,
     BatchControlResult,
-    NashReport,
     run_control_batch,
     verhulst_step,
-    verify_nash,
 )
-from .errors import (
-    ConfigurationError,
-    NotConvergedError,
-    ReceiverUnavailableError,
-)
+from .errors import ConfigurationError, ReceiverUnavailableError
 from .metrics import (
     EEParams,
     dbm_to_watt,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .control import ALGORITHMS
-from .errors import ConfigurationError, NotConvergedError, ReceiverUnavailableError
+from .errors import ConfigurationError, ReceiverUnavailableError
 from .harness import (
     PairedVerdict,
     ScenarioConfig,
@@ -215,12 +215,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (
-        ReceiverUnavailableError,
-        NotConvergedError,
-        np.linalg.LinAlgError,
-        FloatingPointError,
-    ) as exc:
+    except (ReceiverUnavailableError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

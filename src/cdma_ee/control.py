@@ -33,12 +33,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import check_gain_power
-from .errors import ConfigurationError, NotConvergedError, ReceiverUnavailableError
-from .metrics import EEParams, rate, utility
+from .errors import ConfigurationError, ReceiverUnavailableError
+from .metrics import EEParams, rate
 from .optimize import solve_optimal_sinr_batch
-from .scenario import RECEIVERS, NetworkScenario
+from .scenario import RECEIVERS
 from .spreading import dec_eff_interference, mf_mai_weights, mf_sinr
-from .tradeoff import default_sweep_grid
 
 ALGORITHMS = ("alg1", "alg2", "baseline")
 
@@ -51,11 +50,6 @@ SINR_STABLE_REL_TOL = 1e-6
 # iterations, so a cycle of period up to this length ends the row within two
 # windows of its start.
 REPEAT_WINDOW = 16
-# verify_nash: deviation grid size, the relative gain that breaks the
-# equilibrium, and the restart deviation that still counts as the same one.
-NASH_DEVIATION_POINTS = 200
-NASH_IMPROVEMENT_TOL = 1e-6
-NASH_RESTART_TOL = 1e-4
 
 
 @dataclass
@@ -427,88 +421,4 @@ def run_control_batch(
         failed=failed,
         iterations_run=iterations_run,
         failure_reasons=failure_reasons,
-    )
-
-
-@dataclass(frozen=True)
-class NashReport:
-    """Deviation-grid equilibrium check and optional uniqueness probe."""
-
-    equilibrium: bool
-    max_improvement: float
-    violations: list[tuple[int, float, float]]  # (user, deviation power, rel. gain)
-    uniqueness_checked: bool
-    uniqueness_ok: bool | None
-    restart_max_deviation: float | None
-
-
-def verify_nash(
-    result: BatchControlResult,
-    scenario: NetworkScenario,
-    params: EEParams,
-    algorithm: str | None = None,
-    restarts: int = 5,
-    rng: np.random.Generator | None = None,
-) -> NashReport:
-    """Check that no active user can gain by unilaterally changing power.
-
-    ``result`` is the outcome of ``run_control_batch`` on ``scenario`` alone
-    (a batch of one).  Each active user's utility is evaluated on a
-    log-spaced deviation grid in (0, max_power] with everyone else frozen at
-    the converged powers, that is at the result's effective interference.
-    When ``algorithm`` is given and no user was removed, that scheme is
-    restarted from random initial vectors, all in one batch, to probe
-    uniqueness.  Restart vectors are drawn log-uniformly at or below the
-    noise-floor start of the nominal dynamics: the zero-clamped update makes
-    p = 0 absorbing, so a start far above the fixed point would just
-    overshoot into that trap rather than probe for another equilibrium.
-    """
-    if result.power.shape[0] != 1:
-        raise ValueError("verify_nash checks a batch of one realization")
-    if not result.converged[0]:
-        raise NotConvergedError("outcome did not converge; equilibrium check refused")
-    power, sinr, active = result.power[0], result.sinr[0], result.active[0]
-    eff_interference = result.eff_interference[0]
-    user_count = power.size
-    gap = params.gap()
-
-    grid = default_sweep_grid(params.max_power, NASH_DEVIATION_POINTS)
-    violations: list[tuple[int, float, float]] = []
-    max_improvement = 0.0
-    for k in np.flatnonzero(active):
-        base = float(utility(power[k], sinr[k], params, gap))
-        deviated = utility(grid, grid / eff_interference[k], params, gap)
-        gains = (deviated - base) / max(base, 1e-300)
-        worst = float(np.max(gains))
-        max_improvement = max(max_improvement, worst)
-        if worst > NASH_IMPROVEMENT_TOL:
-            at = int(np.argmax(gains))
-            violations.append((int(k), float(grid[at]), worst))
-
-    uniqueness_checked = False
-    uniqueness_ok = None
-    restart_max_deviation = None
-    if algorithm is not None and not result.removed[0] and restarts > 0:
-        gen = rng if rng is not None else np.random.default_rng(0)
-        starts = params.noise_power * 10.0 ** gen.uniform(-4.0, 0.0, size=(restarts, user_count))
-        others = run_control_batch(
-            np.repeat(scenario.channel.gain_power[None], restarts, axis=0),
-            np.repeat(scenario.codes.correlation[None], restarts, axis=0),
-            scenario.receiver,
-            algorithm,
-            params,
-            initial_power=starts,
-        )
-        scale = np.where(power > 0.0, power, 1.0)
-        uniqueness_checked = True
-        restart_max_deviation = float(np.max(np.abs(others.power - power) / scale))
-        uniqueness_ok = restart_max_deviation < NASH_RESTART_TOL
-
-    return NashReport(
-        equilibrium=not violations,
-        max_improvement=max_improvement,
-        violations=violations,
-        uniqueness_checked=uniqueness_checked,
-        uniqueness_ok=uniqueness_ok,
-        restart_max_deviation=restart_max_deviation,
     )

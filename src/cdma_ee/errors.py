@@ -7,7 +7,3 @@ class ConfigurationError(ValueError):
 
 class ReceiverUnavailableError(RuntimeError):
     """The decorrelator cannot be built (rank deficit or ill-conditioned correlation)."""
-
-
-class NotConvergedError(RuntimeError):
-    """A power-control outcome did not stabilize and cannot be post-processed."""

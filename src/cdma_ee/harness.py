@@ -1,10 +1,12 @@
 """Scenario configuration, Monte Carlo orchestration and file output.
 
-A run sweeps the user count K; every (K, realization) pair draws a fresh
-placement, channel and code set from the substream ``seed + realization``, so
-two runs with equal seeds that differ only in algorithm or receiver consume
-identical draws and their metrics compare as paired samples.  Realizations
-are independent work units; results are sorted by (K, realization) before
+A run sweeps the user count K over realizations.  Realization r draws its
+placement, channel and code set once, at the largest K the run accepts, from
+the substream ``seed + r``; each K runs on the first K users of that draw,
+which equal a fresh draw at K (see ``seeding``).  Two runs with equal seeds
+that differ only in algorithm or receiver therefore consume identical draws,
+and their metrics compare as paired samples.  Blocks of realizations are
+independent work units; results are sorted by (K, realization) before
 aggregation, which makes the output identical under serial and parallel
 execution.
 """
@@ -13,7 +15,9 @@ from __future__ import annotations
 
 import copy
 import csv
+import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -29,11 +33,11 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .channel import FixedGeometry, Geometry, RingGeometry
+from .channel import FixedGeometry, Geometry, RingGeometry, draw_placement
 from .control import ALGORITHMS, run_control_batch
 from .errors import ConfigurationError
 from .metrics import EEParams, dbm_to_watt, global_ee, rate
-from .scenario import RECEIVERS, draw_scenario, scenario_checksum
+from .scenario import RECEIVERS, NetworkScenario, draw_scenario, scenario_checksum
 from .seeding import realization_seed
 from .spreading import decorrelator_load_error
 
@@ -248,10 +252,22 @@ def aggregate_rows(rows: list[RealizationRecord], errors: list[dict]) -> list[di
     return aggregates
 
 
-def run_realizations(config: ScenarioConfig, k_users: int, realizations: list[int]):
-    """Draw realizations at one K and run the configured scheme on them as one batch."""
-    seeds = [realization_seed(config.seed, r) for r in realizations]
-    scenarios = [
+def _run_scenarios(config: ScenarioConfig, scenarios: list[NetworkScenario]):
+    """Run the configured scheme on same-sized draws as one batch."""
+    return run_control_batch(
+        np.stack([s.channel.gain_power for s in scenarios]),
+        np.stack([s.codes.correlation for s in scenarios]),
+        config.receiver,
+        config.algorithm,
+        config.ee_params(),
+        iterations=config.iterations,
+        alpha=config.alpha,
+        resolve_each_iteration=config.resolve_targets_each_iteration,
+    )
+
+
+def _draw(config: ScenarioConfig, k_users: int, seeds: list[int]) -> list[NetworkScenario]:
+    return [
         draw_scenario(
             config.geometry,
             k_users,
@@ -263,27 +279,49 @@ def run_realizations(config: ScenarioConfig, k_users: int, realizations: list[in
         )
         for seed in seeds
     ]
-    result = run_control_batch(
-        np.stack([s.channel.gain_power for s in scenarios]),
-        np.stack([s.codes.correlation for s in scenarios]),
-        config.receiver,
-        config.algorithm,
-        config.ee_params(),
-        iterations=config.iterations,
-        alpha=config.alpha,
-        resolve_each_iteration=config.resolve_targets_each_iteration,
-    )
-    return scenarios, seeds, result
 
 
-def _run_chunk(config: ScenarioConfig, k_users: int, realizations: list[int]):
-    """Draw and run a block of realizations at one K (worker entry point).
+def run_realizations(config: ScenarioConfig, k_users: int, realizations: list[int]):
+    """Draw realizations at one K and run the configured scheme on them as one batch."""
+    seeds = [realization_seed(config.seed, r) for r in realizations]
+    scenarios = _draw(config, k_users, seeds)
+    return scenarios, seeds, _run_scenarios(config, scenarios)
+
+
+def _run_chunk(config: ScenarioConfig, user_counts: list[int], realizations: list[int]):
+    """Draw a block of realizations once and run it at every K (worker entry point).
+
+    Each realization is drawn at the largest of ``user_counts``, and each K runs
+    the whole block as one batch on the first K users of every draw.  This
+    relies on the prefix property of the draws (see ``seeding``): those users'
+    draws are the ones a fresh draw at K gives.  Returns, per K in
+    ``user_counts`` order, ``(K, records, errors, iterations)``.
+    """
+    if isinstance(config.geometry, FixedGeometry):
+        for k_users in user_counts:  # refuse every K it does not describe, as a draw at K would
+            draw_placement(config.geometry, k_users)
+    seeds = [realization_seed(config.seed, r) for r in realizations]
+    draws = _draw(config, max(user_counts), seeds)
+    return [
+        (k, *_run_k(config, k, realizations, seeds, [draw.first_users(k) for draw in draws]))
+        for k in user_counts
+    ]
+
+
+def _run_k(
+    config: ScenarioConfig,
+    k_users: int,
+    realizations: list[int],
+    seeds: list[int],
+    scenarios: list[NetworkScenario],
+):
+    """Run the draws of a block of realizations at one K.
 
     Returns the records, the errors and the Verhulst iterations the kept
     realizations ran and were budgeted (rounds times ``iterations``).
     """
     params = config.ee_params()
-    scenarios, seeds, result = run_realizations(config, k_users, realizations)
+    result = _run_scenarios(config, scenarios)
     kept = ~result.failed
     iterations = (
         int(result.iterations_run[kept].sum()),
@@ -352,27 +390,26 @@ def resolve_workers(config_workers: int) -> int:
 def run_experiment(config: ScenarioConfig) -> RunReport:
     """Run the configured algorithm over the K sweep and all realizations."""
     errors: list[dict] = []
-    tasks: list[tuple[int, list[int]]] = []
-    workers = resolve_workers(config.workers)
-    chunking = max(workers, 1)
-    all_realizations = list(range(config.realizations))
+    user_counts: list[int] = []
     for k_users in config.user_counts:
         reason = decorrelator_load_error(k_users, config.processing_gain)
         if config.receiver == "dec" and reason:
             errors.append({"k_users": k_users, "error": reason})
-            continue
-        for split in np.array_split(all_realizations, chunking):
-            if len(split):
-                tasks.append((k_users, split.tolist()))
+        else:
+            user_counts.append(k_users)
+    workers = resolve_workers(config.workers)
+    splits = np.array_split(range(config.realizations), max(workers, 1)) if user_counts else []
+    tasks = [split.tolist() for split in splits if len(split)]
 
     rows: list[RealizationRecord] = []
     diagnostics: dict[str, dict] = {}
+    run_chunk = functools.partial(_run_chunk, config, user_counts)
     if workers > 1 and tasks:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_chunk, [config] * len(tasks), *zip(*tasks)))
+            outcomes = list(pool.map(run_chunk, tasks))
     else:
-        outcomes = [_run_chunk(config, k, rs) for k, rs in tasks]
-    for (k_users, _), (records, chunk_errors, (run, budget)) in zip(tasks, outcomes):
+        outcomes = list(map(run_chunk, tasks))
+    for k_users, records, chunk_errors, (run, budget) in itertools.chain(*outcomes):
         rows.extend(records)
         errors.extend(chunk_errors)
         entry = diagnostics.setdefault(str(k_users), {"verhulst_iterations": Counter()})

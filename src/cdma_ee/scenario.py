@@ -31,6 +31,20 @@ class NetworkScenario:
     def user_count(self) -> int:
         return self.placement.size
 
+    def first_users(self, k: int) -> NetworkScenario:
+        """The draws of the first ``k`` users, as views of this draw.
+
+        ``draw_scenario`` draws each user's values after those of the users
+        before it, so this equals a fresh draw at ``k`` users from the same seed.
+        """
+        channel, codes = self.channel, self.codes
+        return NetworkScenario(
+            placement=self.placement[:k],
+            channel=ChannelState(gains=channel.gains[:k], gain_power=channel.gain_power[:k]),
+            codes=SpreadingCodeSet(chips=codes.chips[:, :k], correlation=codes.correlation[:k, :k]),
+            receiver=self.receiver,
+        )
+
 
 def draw_scenario(
     geometry: Geometry,

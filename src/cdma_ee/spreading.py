@@ -24,8 +24,9 @@ class SpreadingCodeSet:
     """Unit-norm random +-1/sqrt(N) codes, one column per user.
 
     ``correlation`` is the K x K matrix of code inner products; its diagonal
-    is exactly 1 because the chip products are accumulated in integer
-    arithmetic before the single division by N.
+    is exactly 1 because the products of the +-1 chips are summed before the
+    single division by N, and every partial sum is an integer of magnitude at
+    most N, which float64 holds exactly in any summation order.
     """
 
     chips: np.ndarray        # (N, K), entries +-1/sqrt(N)
@@ -47,7 +48,8 @@ def generate_codes(
     gen = np.random.default_rng(rng)
     # Drawn per user (row-major as (K, N)) so the codes of the first K users
     # do not change when more users are added under the same stream.
-    signs = gen.integers(0, 2, size=(user_count, processing_gain)).T * 2 - 1
+    # Float64 +-1 signs: the product below then runs on BLAS and stays exact.
+    signs = gen.integers(0, 2, size=(user_count, processing_gain)).T * 2.0 - 1.0
     correlation = (signs.T @ signs) / float(processing_gain)
     chips = signs / np.sqrt(float(processing_gain))
     return SpreadingCodeSet(chips=chips, correlation=correlation)

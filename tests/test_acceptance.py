@@ -16,7 +16,7 @@ from cdma_ee.cli import main as cli_main
 from cdma_ee.harness import ScenarioConfig, run_experiment
 from cdma_ee.seeding import realization_seed
 
-from conftest import check_quasiconcavity, gamma_star, run_single
+from conftest import check_quasiconcavity, gamma_star, run_single, verify_nash
 
 SEED = 20260810
 REALIZATIONS = 200
@@ -262,7 +262,7 @@ def test_criterion_06_nash_equilibrium_and_uniqueness():
         result = run_single(scenario, params, "alg1")
         if result.removed[0] or not result.converged[0]:
             continue
-        report = ce.verify_nash(result, scenario, params, algorithm="alg1", rng=rng)
+        report = verify_nash(result, scenario, params, algorithm="alg1", rng=rng)
         assert report.equilibrium, report.violations
         assert report.uniqueness_checked and report.uniqueness_ok
         worst_gain = max(worst_gain, report.max_improvement)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cdma_ee as ce
+from cdma_ee import harness
 from cdma_ee.harness import (
     ScenarioConfig,
     _t_quantile,
@@ -150,6 +151,56 @@ def test_paired_draws_share_checksums():
     sums_a = [(r.k_users, r.realization, r.draw_checksum) for r in report_a.rows]
     sums_b = [(r.k_users, r.realization, r.draw_checksum) for r in report_b.rows]
     assert sums_a == sums_b
+
+
+@pytest.mark.parametrize("receiver", ["mf", "dec"])
+def test_first_users_of_a_draw_equal_a_fresh_draw(receiver):
+    # The harness runs every K on a slice of one draw at the largest K.
+    ring = ce.RingGeometry(50.0, 200.0)
+    for seed in (7, 20260810):
+        full = ce.draw_scenario(ring, 63, 63, receiver, seed)
+        for k in (1, 3, 13, 33, 62, 63):
+            sliced, fresh = full.first_users(k), ce.draw_scenario(ring, k, 63, receiver, seed)
+            pairs = [
+                (sliced.placement, fresh.placement),
+                (sliced.channel.gains, fresh.channel.gains),
+                (sliced.channel.gain_power, fresh.channel.gain_power),
+                (sliced.codes.chips, fresh.codes.chips),
+                (sliced.codes.correlation, fresh.codes.correlation),
+            ]
+            for a, b in pairs:
+                assert a.shape == b.shape
+                assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+            assert ce.scenario_checksum(sliced) == ce.scenario_checksum(fresh)
+
+
+@pytest.mark.parametrize(
+    "receiver, user_counts", [("mf", (3, 13)), ("dec", (3, 13)), ("dec", (3, 20, 13))]
+)
+def test_k_sweep_equals_each_k_run_alone(monkeypatch, receiver, user_counts):
+    drawn = []
+    draw = harness.draw_scenario
+
+    def counting_draw(geometry, k, *args):
+        drawn.append(k)
+        return draw(geometry, k, *args)
+
+    monkeypatch.setattr(harness, "draw_scenario", counting_draw)
+    sweep = run_experiment(tiny_config(receiver=receiver, user_counts=user_counts))
+    # One draw per realization, at the largest K the receiver accepts (N = 15).
+    assert drawn == [13] * 3
+    alone = [run_experiment(tiny_config(receiver=receiver, user_counts=(k,))) for k in user_counts]
+    assert sweep.rows == sorted(
+        (row for report in alone for row in report.rows), key=lambda row: row.k_users
+    )
+    assert sweep.errors == sorted(
+        (err for report in alone for err in report.errors),
+        key=lambda err: (err["k_users"], err.get("realization", -1)),
+    )
+    assert sweep.diagnostics == {k: v for report in alone for k, v in report.diagnostics.items()}
+    if 20 in user_counts:
+        refusal = {"k_users": 20, "error": "decorrelator needs K <= N, got K=20 > N=15"}
+        assert refusal in sweep.errors
 
 
 def test_emit_and_read_round_trip(tmp_path):

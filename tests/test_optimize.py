@@ -7,7 +7,14 @@ import cdma_ee as ce
 from cdma_ee import optimize
 from cdma_ee.optimize import BRACKET_MAX, _stationarity
 
-from conftest import best_response_power, check_quasiconcavity, gamma_star, run_single
+from conftest import (
+    NotConvergedError,
+    best_response_power,
+    check_quasiconcavity,
+    gamma_star,
+    run_single,
+    verify_nash,
+)
 
 
 def make_params(packet_bits=80, info_bits=50, circuit_power=0.0, ber=1e-3):
@@ -259,7 +266,7 @@ def no_removal_seed(k_users=5, receiver="mf", start=0):
 def test_verify_nash_single_user():
     scenario, params, result = nash_setup(3, k_users=1)
     assert not result.removed[0]
-    report = ce.verify_nash(
+    report = verify_nash(
         result, scenario, params, algorithm="alg1", rng=np.random.default_rng(0)
     )
     assert report.equilibrium
@@ -268,7 +275,7 @@ def test_verify_nash_single_user():
 
 def test_verify_nash_converged_multiuser():
     scenario, params, result = no_removal_seed()
-    report = ce.verify_nash(
+    report = verify_nash(
         result, scenario, params, algorithm="alg1", rng=np.random.default_rng(1)
     )
     assert report.equilibrium, report.violations
@@ -282,7 +289,7 @@ def test_verify_nash_batched_restarts_match_single_runs(receiver):
     # run from the same start ends, so the reported deviation is theirs
     scenario, params, result = no_removal_seed(receiver=receiver)
     restarts = 3
-    report = ce.verify_nash(
+    report = verify_nash(
         result, scenario, params, algorithm="alg1", restarts=restarts,
         rng=np.random.default_rng(2),
     )
@@ -323,7 +330,7 @@ def test_verify_nash_flags_perturbed_user():
         sinr=sinr,
         eff_interference=eff_interference,
     )
-    report = ce.verify_nash(perturbed, scenario, params)
+    report = verify_nash(perturbed, scenario, params)
     assert not report.equilibrium
     assert any(user == 0 for user, _, _ in report.violations)
 
@@ -331,5 +338,5 @@ def test_verify_nash_flags_perturbed_user():
 def test_verify_nash_rejects_nonconverged():
     scenario, params, result = no_removal_seed()
     stalled = dataclasses.replace(result, converged=np.array([False]))
-    with pytest.raises(ce.NotConvergedError):
-        ce.verify_nash(stalled, scenario, params)
+    with pytest.raises(NotConvergedError):
+        verify_nash(stalled, scenario, params)

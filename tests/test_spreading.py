@@ -26,6 +26,19 @@ def test_chip_values_and_exact_diagonal():
     assert np.all(np.abs(codes.correlation) <= 1.0)
 
 
+@pytest.mark.parametrize("n", [15, 31, 63])
+def test_float64_correlation_equals_integer_product(n):
+    # Every partial sum of the +-1 product is an integer of magnitude <= N,
+    # so the float64 (BLAS) product must match the int64 one to the byte.
+    for seed in (0, 1, 2):
+        for k in range(1, n + 1):
+            correlation = ce.generate_codes(n, k, seed).correlation
+            signs = np.random.default_rng(seed).integers(0, 2, size=(k, n)).T * 2 - 1
+            assert signs.dtype == np.int64
+            assert correlation.tobytes() == ((signs.T @ signs) / float(n)).tobytes()
+            assert np.all(np.diagonal(correlation) == 1.0)
+
+
 def test_generate_codes_determinism():
     a = ce.generate_codes(31, 8, 5)
     b = ce.generate_codes(31, 8, 5)
