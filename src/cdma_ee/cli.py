@@ -6,8 +6,6 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical error.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -26,12 +24,14 @@ from .harness import (
     load_config_data,
     paired_comparison,
     read_report,
+    run_block,
     run_experiment,
-    run_realizations,
+    write_csv,
+    write_json,
 )
 from .metrics import rate, utility
 from .scenario import RECEIVERS
-from .spreading import decorrelator_load_error, generate_codes
+from .spreading import generate_codes
 from .tradeoff import default_sweep_grid, sweep_tradeoff
 
 EXIT_CONFIG = 2
@@ -116,12 +116,11 @@ def _cmd_tradeoff(args) -> int:
             rng=np.random.default_rng(config.seed),
         )
         name = f"tradeoff_{config.receiver}_d{distance:g}.csv"
-        path = out / name
-        with path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["power_w", "mean_se_bit_per_s_per_hz", "mean_ee_bit_per_joule", "mean_sinr"])
-            for row in zip(curve.powers, curve.se, curve.ee, curve.sinr):
-                writer.writerow([repr(float(v)) for v in row])
+        write_csv(
+            out / name,
+            ["power_w", "mean_se_bit_per_s_per_hz", "mean_ee_bit_per_joule", "mean_sinr"],
+            zip(curve.powers, curve.se, curve.ee, curve.sinr),
+        )
         summary[name] = {
             "interferer_distance_m": distance,
             "receiver": curve.receiver,
@@ -137,14 +136,10 @@ def _cmd_tradeoff(args) -> int:
             "se_reference": "grid top power (asymptotic SE proxy)",
         }
         print(f"{name}: lambda={curve.lambda_gap:.6g} bit/s/Hz, coupling={curve.coupling:.6g}")
-    with (out / "tradeoff_metadata.json").open("w") as handle:
-        json.dump(
-            {"version": __version__, "seed": config.seed, "curves": summary},
-            handle,
-            indent=2,
-            sort_keys=True,
-        )
-        handle.write("\n")
+    write_json(
+        out / "tradeoff_metadata.json",
+        {"version": __version__, "seed": config.seed, "curves": summary},
+    )
     return 0
 
 
@@ -158,23 +153,17 @@ def _cmd_compare(args) -> int:
             f"[{v.ci_low:.6g}, {v.ci_high:.6g}] -> {v.verdict}"
         )
     if args.out:
-        with Path(args.out).open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow([f.name for f in fields(PairedVerdict)])
-            for v in verdicts:
-                writer.writerow([repr(x) if isinstance(x, float) else x for x in astuple(v)])
+        write_csv(args.out, [f.name for f in fields(PairedVerdict)], map(astuple, verdicts))
     return 0
 
 
 def _cmd_solve(args) -> int:
     config = config_from_dict(load_config_data(args.config), _overrides(args))
+    if args.realization < 0:
+        raise ConfigurationError(f"--realization must be >= 0, got {args.realization}")
     k_users = args.k if args.k is not None else config.user_counts[0]
-    reason = decorrelator_load_error(k_users, config.processing_gain)
-    if config.receiver == "dec" and reason:
-        raise ConfigurationError(reason)
     params = config.ee_params()
-    scenarios, _, result = run_realizations(config, k_users, [args.realization])
-    scenario = scenarios[0]
+    [(_, _, [scenario], result)] = run_block(config, [k_users], [args.realization])
     if result.failed[0]:
         raise ReceiverUnavailableError(result.failure_reasons[0])
     power, sinr, target, active = (

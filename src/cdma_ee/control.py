@@ -351,7 +351,6 @@ def run_control_batch(
         dec_itf = None
         if receiver == "dec":
             dec_itf = np.ones((rows.size, users))
-            kept = []
             for offset, b in enumerate(rows):
                 try:
                     dec_itf[offset, active[b]] = dec_eff_interference(
@@ -360,14 +359,10 @@ def run_control_batch(
                 except ReceiverUnavailableError as exc:
                     failed[b] = True
                     failure_reasons[int(b)] = str(exc)
-                    continue
-                kept.append(offset)
-            if len(kept) < rows.size:
-                keep_idx = np.asarray(kept, dtype=int)
-                rows = rows[keep_idx]
-                if rows.size == 0:
-                    continue
-                dec_itf = dec_itf[keep_idx]
+            kept = ~failed[rows]
+            rows, dec_itf = rows[kept], dec_itf[kept]
+            if rows.size == 0:
+                continue
 
         power, sinr, targets, eff_itf, stab, change, flagged, ran = _batch_round(
             gain_power[rows],

@@ -1,14 +1,15 @@
 """Scenario configuration, Monte Carlo orchestration and file output.
 
-A run sweeps the user count K over realizations.  Realization r draws its
-placement, channel and code set once, at the largest K the run accepts, from
-the substream ``seed + r``; each K runs on the first K users of that draw,
-which equal a fresh draw at K (see ``seeding``).  Two runs with equal seeds
-that differ only in algorithm or receiver therefore consume identical draws,
-and their metrics compare as paired samples.  Blocks of realizations are
-independent work units; results are sorted by (K, realization) before
-aggregation, which makes the output identical under serial and parallel
-execution.
+A run sweeps the user count K over realizations.  ``run_block`` draws each
+realization r of a block once, at the largest K, from the substream
+``seed + r``; each K runs on the first K users of that draw, which equal a
+fresh draw at K (see ``seeding``).  ``run`` and ``solve`` both go through it.
+Two runs with equal seeds that differ only in algorithm or receiver therefore
+consume identical draws, and their metrics compare as paired samples.  Blocks
+of realizations are independent work units; results are sorted by
+(K, realization) before aggregation, which makes the output identical under
+serial and parallel execution.  ``write_csv`` and ``write_json`` write every
+output file.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .channel import FixedGeometry, Geometry, RingGeometry, draw_placement
 from .control import ALGORITHMS, run_control_batch
 from .errors import ConfigurationError
 from .metrics import EEParams, dbm_to_watt, global_ee, rate
-from .scenario import RECEIVERS, NetworkScenario, draw_scenario, scenario_checksum
+from .scenario import RECEIVERS, draw_scenario, scenario_checksum
 from .seeding import realization_seed
 from .spreading import decorrelator_load_error
 
@@ -52,9 +53,11 @@ METRIC_FIELDS = {
     "removed_count": "removed_count",
 }
 
+# Config keys that cannot change a byte of raw.csv or aggregate.csv; config_hash leaves them out.
+UNHASHED_KEYS = {"output_dir", "workers"}
 # Config keys allowed to differ between the two sides of a paired comparison:
 # they select the scheme under test without touching the random draws.
-PAIRABLE_KEYS = {"name", "output_dir", "workers", "algorithm", "receiver", "min_rate"}
+PAIRABLE_KEYS = {"name", *UNHASHED_KEYS, "algorithm", "receiver", "min_rate"}
 
 # The sections of a YAML config document, and the key of a geometry's kind.
 SYSTEM, RADIO, CONTROL, KIND = "system", "radio", "control", "kind"
@@ -143,11 +146,14 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _check_ranges(self, {
+            "seed": (self.seed >= 0, "must be >= 0"),
             "realizations": (self.realizations >= 1, "must be >= 1"),
             "processing_gain": (self.processing_gain >= 1, "must be >= 1"),
             "receiver": (self.receiver in RECEIVERS, f"must be one of {RECEIVERS}"),
             "algorithm": (self.algorithm in ALGORITHMS, f"must be one of {ALGORITHMS}"),
             "user_counts": (min(self.user_counts, default=0) >= 1, "must be positive"),
+            "alpha": (0.0 < self.alpha < 1.0, "must lie in (0, 1)"),
+            "iterations": (self.iterations >= 1, "must be >= 1"),
         })
         try:
             self.ee_params()
@@ -162,7 +168,9 @@ class ScenarioConfig:
         return _echo(self)
 
     def config_hash(self) -> str:
-        canonical = json.dumps(self.echo_dict(), sort_keys=True)
+        """Hash of the echo without ``UNHASHED_KEYS``."""
+        echo = {k: v for k, v in self.echo_dict().items() if k not in UNHASHED_KEYS}
+        canonical = json.dumps(echo, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
@@ -252,25 +260,32 @@ def aggregate_rows(rows: list[RealizationRecord], errors: list[dict]) -> list[di
     return aggregates
 
 
-def _run_scenarios(config: ScenarioConfig, scenarios: list[NetworkScenario]):
-    """Run the configured scheme on same-sized draws as one batch."""
-    return run_control_batch(
-        np.stack([s.channel.gain_power for s in scenarios]),
-        np.stack([s.codes.correlation for s in scenarios]),
-        config.receiver,
-        config.algorithm,
-        config.ee_params(),
-        iterations=config.iterations,
-        alpha=config.alpha,
-        resolve_each_iteration=config.resolve_targets_each_iteration,
-    )
+def _refusal(config: ScenarioConfig, k_users: int) -> str | None:
+    """Why the configured receiver cannot run K users, or None if it can."""
+    dec = config.receiver == "dec"
+    return decorrelator_load_error(k_users, config.processing_gain) if dec else None
 
 
-def _draw(config: ScenarioConfig, k_users: int, seeds: list[int]) -> list[NetworkScenario]:
-    return [
+def run_block(config: ScenarioConfig, user_counts: list[int], realizations: list[int]):
+    """Draw a block of realizations once and run the configured scheme at every K.
+
+    Refuses (``ConfigurationError``) a K that the receiver or a fixed geometry
+    cannot take, before any draw.  Each realization is drawn at the largest of
+    ``user_counts``, and each K runs the whole block as one batch on the first
+    K users of every draw.  This relies on the prefix property of the draws
+    (see ``seeding``): those users' draws are the ones a fresh draw at K gives.
+    Yields ``(K, seeds, scenarios, result)`` per K in ``user_counts`` order.
+    """
+    for k_users in user_counts:
+        if reason := _refusal(config, k_users):
+            raise ConfigurationError(reason)
+        if isinstance(config.geometry, FixedGeometry):
+            draw_placement(config.geometry, k_users)
+    seeds = [realization_seed(config.seed, r) for r in realizations]
+    draws = [
         draw_scenario(
             config.geometry,
-            k_users,
+            max(user_counts),
             config.processing_gain,
             config.receiver,
             seed,
@@ -279,101 +294,80 @@ def _draw(config: ScenarioConfig, k_users: int, seeds: list[int]) -> list[Networ
         )
         for seed in seeds
     ]
-
-
-def run_realizations(config: ScenarioConfig, k_users: int, realizations: list[int]):
-    """Draw realizations at one K and run the configured scheme on them as one batch."""
-    seeds = [realization_seed(config.seed, r) for r in realizations]
-    scenarios = _draw(config, k_users, seeds)
-    return scenarios, seeds, _run_scenarios(config, scenarios)
+    for k_users in user_counts:
+        scenarios = [draw.first_users(k_users) for draw in draws]
+        yield k_users, seeds, scenarios, run_control_batch(
+            np.stack([s.channel.gain_power for s in scenarios]),
+            np.stack([s.codes.correlation for s in scenarios]),
+            config.receiver,
+            config.algorithm,
+            config.ee_params(),
+            iterations=config.iterations,
+            alpha=config.alpha,
+            resolve_each_iteration=config.resolve_targets_each_iteration,
+        )
 
 
 def _run_chunk(config: ScenarioConfig, user_counts: list[int], realizations: list[int]):
-    """Draw a block of realizations once and run it at every K (worker entry point).
+    """Run a block of realizations at every K and turn it into records (worker entry point).
 
-    Each realization is drawn at the largest of ``user_counts``, and each K runs
-    the whole block as one batch on the first K users of every draw.  This
-    relies on the prefix property of the draws (see ``seeding``): those users'
-    draws are the ones a fresh draw at K gives.  Returns, per K in
-    ``user_counts`` order, ``(K, records, errors, iterations)``.
-    """
-    if isinstance(config.geometry, FixedGeometry):
-        for k_users in user_counts:  # refuse every K it does not describe, as a draw at K would
-            draw_placement(config.geometry, k_users)
-    seeds = [realization_seed(config.seed, r) for r in realizations]
-    draws = _draw(config, max(user_counts), seeds)
-    return [
-        (k, *_run_k(config, k, realizations, seeds, [draw.first_users(k) for draw in draws]))
-        for k in user_counts
-    ]
-
-
-def _run_k(
-    config: ScenarioConfig,
-    k_users: int,
-    realizations: list[int],
-    seeds: list[int],
-    scenarios: list[NetworkScenario],
-):
-    """Run the draws of a block of realizations at one K.
-
-    Returns the records, the errors and the Verhulst iterations the kept
-    realizations ran and were budgeted (rounds times ``iterations``).
+    Returns, per K in ``user_counts`` order, ``(K, records, errors,
+    iterations)``: the records of the kept realizations, an error entry for
+    each refused one and the Verhulst iterations the kept ones ran and were
+    budgeted (rounds times ``iterations``).
     """
     params = config.ee_params()
-    result = _run_scenarios(config, scenarios)
-    kept = ~result.failed
-    iterations = (
-        int(result.iterations_run[kept].sum()),
-        int(result.rounds[kept].sum()) * config.iterations,
-    )
-
-    records: list[RealizationRecord] = []
-    errors: list[dict] = []
-    for b, r in enumerate(realizations):
-        if result.failed[b]:
-            errors.append(
-                {
-                    "k_users": k_users,
-                    "realization": r,
-                    "error": result.failure_reasons.get(b, "receiver unavailable"),
-                }
-            )
-            continue
-        active = result.active[b]
-        power = result.power[b]
-        sinr = result.sinr[b]
-        n_removed = len(result.removed[b])
-        rates = rate(sinr[active], params.gap(), config.bandwidth)
-        sum_power = float(np.sum(power[active] + params.circuit_power))
-        ee = global_ee(
-            rates,
-            sinr[active],
-            power[active],
-            params,
-            extra_circuit_users=n_removed if config.count_removed_circuit_power else 0,
+    gap = params.gap()
+    chunk = []
+    for k_users, seeds, scenarios, result in run_block(config, user_counts, realizations):
+        kept = ~result.failed
+        iterations = (
+            int(result.iterations_run[kept].sum()),
+            int(result.rounds[kept].sum()) * config.iterations,
         )
-        stab = int(result.stabilized_iteration[b])
-        records.append(
-            RealizationRecord(
-                k_users=k_users,
-                realization=r,
-                seed=seeds[b],
-                sum_rate=float(np.sum(rates)),
-                sum_power=sum_power,
-                sum_power_incl_removed_circuit=sum_power + n_removed * params.circuit_power,
-                global_ee=ee,
-                outage_fraction=n_removed / k_users,
-                removed_count=n_removed,
-                removed_order=tuple(result.removed[b]),
-                rounds=int(result.rounds[b]),
-                converged=bool(result.converged[b]),
-                stabilized_iteration=stab if stab >= 0 else None,
-                target_flagged=bool(result.target_flagged[b]),
-                draw_checksum=scenario_checksum(scenarios[b]),
+        records: list[RealizationRecord] = []
+        errors: list[dict] = []
+        for b, r in enumerate(realizations):
+            if result.failed[b]:
+                errors.append(
+                    {"k_users": k_users, "realization": r, "error": result.failure_reasons[b]}
+                )
+                continue
+            active = result.active[b]
+            power = result.power[b]
+            sinr = result.sinr[b]
+            n_removed = len(result.removed[b])
+            rates = rate(sinr[active], gap, config.bandwidth)
+            sum_power = float(np.sum(power[active] + params.circuit_power))
+            ee = global_ee(
+                rates,
+                sinr[active],
+                power[active],
+                params,
+                extra_circuit_users=n_removed if config.count_removed_circuit_power else 0,
             )
-        )
-    return records, errors, iterations
+            stab = int(result.stabilized_iteration[b])
+            records.append(
+                RealizationRecord(
+                    k_users=k_users,
+                    realization=r,
+                    seed=seeds[b],
+                    sum_rate=float(np.sum(rates)),
+                    sum_power=sum_power,
+                    sum_power_incl_removed_circuit=sum_power + n_removed * params.circuit_power,
+                    global_ee=ee,
+                    outage_fraction=n_removed / k_users,
+                    removed_count=n_removed,
+                    removed_order=tuple(result.removed[b]),
+                    rounds=int(result.rounds[b]),
+                    converged=bool(result.converged[b]),
+                    stabilized_iteration=stab if stab >= 0 else None,
+                    target_flagged=bool(result.target_flagged[b]),
+                    draw_checksum=scenario_checksum(scenarios[b]),
+                )
+            )
+        chunk.append((k_users, records, errors, iterations))
+    return chunk
 
 
 def resolve_workers(config_workers: int) -> int:
@@ -392,8 +386,7 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
     errors: list[dict] = []
     user_counts: list[int] = []
     for k_users in config.user_counts:
-        reason = decorrelator_load_error(k_users, config.processing_gain)
-        if config.receiver == "dec" and reason:
+        if reason := _refusal(config, k_users):
             errors.append({"k_users": k_users, "error": reason})
         else:
             user_counts.append(k_users)
@@ -533,7 +526,7 @@ def _render(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)  # shortest round-trip rendering, full precision
+        return repr(float(value))  # shortest round-trip rendering; repr(np.float64) names its type
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):
@@ -541,44 +534,49 @@ def _render(value) -> str:
     return str(value)
 
 
+def write_csv(path: str | Path, header: list[str], rows) -> Path:
+    """Write ``header`` and then ``rows``, each cell as its ``_render`` text."""
+    path = Path(path)
+    with path.open("w", newline="") as handle:
+        csv.writer(handle).writerows([_render(v) for v in row] for row in [header, *rows])
+    return path
+
+
+def write_json(path: str | Path, data) -> Path:
+    """Write ``data`` as indented JSON with sorted keys and a closing newline."""
+    path = Path(path)
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    return path
+
+
 def emit_results(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
     """Write the raw table, the aggregate table and the metadata sidecar."""
     out = Path(out_dir)
+    checksums = {}
+    for row in report.rows:
+        digest = checksums.setdefault(str(row.k_users), hashlib.sha256())
+        digest.update(row.draw_checksum.encode())
+    metadata = {
+        "version": report.version,
+        "seed": report.config.seed,
+        "config_hash": report.config.config_hash(),
+        "config": report.config.echo_dict(),
+        "draw_checksums": {k: v.hexdigest()[:16] for k, v in checksums.items()},
+        "errors": report.errors,
+        "diagnostics": report.diagnostics,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
+    raw = ([getattr(row, name) for _, name, _ in _RAW_SCHEMA] for row in report.rows)
+    aggregate = ([entry[col] for col in AGGREGATE_COLUMNS] for entry in report.aggregates)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        raw_path = out / "raw.csv"
-        with raw_path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(RAW_COLUMNS)
-            for row in report.rows:
-                writer.writerow([_render(getattr(row, name)) for _, name, _ in _RAW_SCHEMA])
-        agg_path = out / "aggregate.csv"
-        with agg_path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(AGGREGATE_COLUMNS)
-            for entry in report.aggregates:
-                writer.writerow([_render(entry[col]) for col in AGGREGATE_COLUMNS])
-        meta_path = out / "metadata.json"
-        checksums = {}
-        for row in report.rows:
-            digest = checksums.setdefault(str(row.k_users), hashlib.sha256())
-            digest.update(row.draw_checksum.encode())
-        metadata = {
-            "version": report.version,
-            "seed": report.config.seed,
-            "config_hash": report.config.config_hash(),
-            "config": report.config.echo_dict(),
-            "draw_checksums": {k: v.hexdigest()[:16] for k, v in checksums.items()},
-            "errors": report.errors,
-            "diagnostics": report.diagnostics,
-            "timestamp": datetime.now(timezone.utc).isoformat(),
+        return {
+            "raw": write_csv(out / "raw.csv", RAW_COLUMNS, raw),
+            "aggregate": write_csv(out / "aggregate.csv", AGGREGATE_COLUMNS, aggregate),
+            "metadata": write_json(out / "metadata.json", metadata),
         }
-        with meta_path.open("w") as handle:
-            json.dump(metadata, handle, indent=2, sort_keys=True)
-            handle.write("\n")
     except OSError as exc:
         raise OSError(f"cannot write results under {out}: {exc}") from exc
-    return {"raw": raw_path, "aggregate": agg_path, "metadata": meta_path}
 
 
 def read_report(run_dir: str | Path) -> RunReport:

@@ -143,6 +143,32 @@ def test_solve_subcommand(tmp_path, capsys):
     assert "gain_pow" in output
 
 
+def test_solve_refuses_negative_realization(tmp_path, capsys):
+    config = write_config(tmp_path)
+    assert main(["solve", "--config", str(config), "--realization", "-1"]) == 2
+    assert "--realization must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("receiver", ["mf", "dec"])
+def test_solve_matches_the_row_of_a_run(tmp_path, capsys, receiver):
+    # 40 iterations leave some realizations with a removal
+    config = write_config(
+        tmp_path, realizations=3, system={"receiver": receiver, "user_counts": [3, 6]},
+        control={"iterations": 40},
+    )
+    assert main(["run", "--config", str(config)]) == 0
+    with (tmp_path / "out/raw.csv").open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 6 and any(row["removed_order"] for row in rows)
+    capsys.readouterr()
+    for row in rows:
+        argv = ["--k", row["k_users"], "--realization", row["realization"]]
+        assert main(["solve", "--config", str(config), *argv]) == 0
+        summary = capsys.readouterr().out.splitlines()[0]
+        removed = row["removed_order"].replace(";", ", ")
+        assert f"rounds={row['rounds']} " in summary and summary.endswith(f"removed=[{removed}]")
+
+
 def test_missing_config_exits_with_config_code(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == 2
     assert "configuration error" in capsys.readouterr().err
@@ -187,6 +213,9 @@ def test_preset_configs_are_reachable(tmp_path):
         ({"realizations": True}, "realizations must be int"),
         ({"tradeoff": {"user_count": 0}}, "tradeoff.user_count"),
         ({"radio": {"max_power_w": True}}, "radio.max_power_w must be float"),
+        ({"seed": -1}, "seed"),
+        ({"control": {"alpha": 1.0}}, "control.alpha"),
+        ({"control": {"iterations": 0}}, "control.iterations"),
     ],
 )
 def test_bad_config_exits_with_config_code(tmp_path, capsys, overrides, named):

@@ -83,6 +83,13 @@ def test_config_validation_errors():
         tiny_config(user_counts=())
 
 
+def test_config_hash_ignores_output_dir_and_workers():
+    config = tiny_config()
+    moved = dataclasses.replace(config, output_dir="elsewhere", workers=2)
+    assert moved.config_hash() == config.config_hash()
+    assert dataclasses.replace(config, seed=1).config_hash() != config.config_hash()
+
+
 def test_presets_load_and_resolve():
     for preset in ("fig2_tradeoff", "fig34_mixed", "fig56_fullload"):
         data = load_config_data(preset)
