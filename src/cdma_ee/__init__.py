@@ -24,7 +24,6 @@ from .metrics import (
     packet_success,
     rate,
     sinr_gap,
-    spectral_efficiency,
     utility,
 )
 from .optimize import solve_optimal_sinr_batch

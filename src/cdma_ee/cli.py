@@ -161,6 +161,8 @@ def _cmd_solve(args) -> int:
     config = config_from_dict(load_config_data(args.config), _overrides(args))
     if args.realization < 0:
         raise ConfigurationError(f"--realization must be >= 0, got {args.realization}")
+    if args.k is not None and args.k < 1:
+        raise ConfigurationError(f"--k must be >= 1, got {args.k}")
     k_users = args.k if args.k is not None else config.user_counts[0]
     params = config.ee_params()
     [(_, _, [scenario], result)] = run_block(config, [k_users], [args.realization])

@@ -18,7 +18,8 @@ as it goes (every iteration under the matched filter, where interference moves
 with the powers; once per round under the decorrelator, whose SINR does not
 depend on the other powers).  Its results equal those of the configured number
 of iterations: a realization whose loop state repeats exactly is periodic from
-there on, so it stops and its final state is read off the cycle.
+there on, so it runs on only to the step at the last iteration's phase of the
+cycle and leaves there.
 
 The loop is written over batches of same-sized realizations.  All maths is
 element-wise or per-row, so each realization's trajectory, and the iteration
@@ -47,8 +48,8 @@ REMOVAL_SINR_REL_TOL = 1e-2
 POWER_STABLE_REL_TOL = 1e-6
 SINR_STABLE_REL_TOL = 1e-6
 # A round checks each row's loop state against an anchor saved every this many
-# iterations, so a cycle of period up to this length ends the row within two
-# windows of its start.
+# iterations, so a cycle of period up to this length is found within two
+# windows of its start; the row then runs at most one more period.
 REPEAT_WINDOW = 16
 
 
@@ -107,34 +108,6 @@ def _same_bytes(a, b):
     return (a.view(np.int64) == b.view(np.int64)).all(axis=1)
 
 
-def _compact(window, slots, keep):
-    """Move the kept rows of the first ``slots`` slots to the front, in place."""
-    count = np.count_nonzero(keep)
-    window[:slots, :count] = window[:slots, keep]
-    return window[:, :count]
-
-
-def _final_settling(cycle_sinr, stab, anchor, step, iterations):
-    """Settling iteration at the end of the round of rows that left at ``step``.
-
-    The rows cycle from state ``anchor`` on; ``cycle_sinr`` holds the SINRs of
-    one cycle of states from there and ``stab`` the settling iteration so far.
-    Iteration t compares the SINRs of states t and t - 1, so past the anchor
-    its settled flag repeats with the cycle phase of t, and the last unsettled
-    iteration still to run, if any, starts the final settled run.
-    """
-    period = len(cycle_sinr)
-    last_unsettled = np.full(stab.size, -1)
-    for phase in range(period):
-        last_t = iterations - 1 - (iterations - 1 - anchor - phase) % period
-        if last_t >= step:
-            calm = _settled(cycle_sinr[phase], cycle_sinr[phase - 1])
-            last_unsettled = np.where(calm, last_unsettled, np.maximum(last_unsettled, last_t))
-    carried = np.where(stab < 0, step, stab)
-    restarted = np.where(last_unsettled == iterations - 1, -1, last_unsettled + 1)
-    return np.where(last_unsettled < 0, carried, restarted)
-
-
 def _batch_round(
     gain_power,
     weights,
@@ -156,10 +129,14 @@ def _batch_round(
     A row's loop state is its powers, plus its targets under matched-filter
     re-solving (they warm-start the next solve, whose result depends on the
     guess to the last bit).  Every ``REPEAT_WINDOW`` iterations the state is
-    saved as an anchor; a row whose state repeats its anchor's bytes is
-    periodic from there on, so it leaves the batch and its final state, last
-    movement and settling iteration are read off the window of states since
-    the anchor.  Returns these with the iterations each row ran.
+    saved as an anchor.  A row whose state at step s repeats its anchor's bytes
+    after P steps is periodic from the anchor on, so it runs on to the first
+    step after s that lies a whole number of periods before ``iterations``:
+    there its powers, targets and last movement equal those of the last
+    iteration, and it leaves.  Its settling iteration moves on by the skipped
+    periods if the settled run began inside the last period.  ``trajectory``
+    turns the check off, so every row runs every iteration, and collects the
+    powers after each.  Returns the final state with the iterations each row ran.
     """
     batch, users = gain_power.shape
     noise = params.noise_power
@@ -171,34 +148,26 @@ def _batch_round(
             return mf_sinr(power, gain, mai_weights, noise)
         return np.where(act, power / itf, 0.0), itf
 
-    def take(inputs, rows):
-        return tuple(None if a is None else a[rows] for a in inputs)
+    def take(arrays, rows):
+        return tuple(None if a is None else a[rows] for a in arrays)
 
     power = np.where(active, initial_power, 0.0)
     targets = np.zeros((batch, users))
     flagged = np.zeros(batch, dtype=bool)
-    ran = np.full(batch, iterations)
     final_power = np.empty((batch, users))
     final_targets = np.empty((batch, users))
     stabilized = np.empty(batch, dtype=int)
-    last_change = np.zeros(batch)
+    last_change = np.empty(batch)
+    ran = np.empty(batch, dtype=int)
 
     # Live rows (indices into the sub-batch) and their compacted inputs and state.
     live = np.arange(batch)
     everyone = inputs = (gain_power, weights, dec_itf, active)
     active_row = np.nonzero(active)[0]  # the live row of each active user, in mask order
     stab = np.full(batch, -1, dtype=int)
-    prev_sinr = None
-    window = np.empty((REPEAT_WINDOW, batch, users))
-    target_window = np.empty((REPEAT_WINDOW, batch, users)) if resolving else None
-    cycles = []  # (rows, anchor iteration, cycle powers) of rows that left, for the trajectory
-
-    def snapshot(step):
-        full = np.empty((batch, users))
-        full[live] = power
-        for left, anchor, cycle in cycles:
-            full[left] = cycle[(step - anchor) % len(cycle)]
-        return full
+    stop = np.full(batch, iterations)  # the step after which each row leaves
+    period = np.zeros(batch, dtype=int)  # 0 until the row repeats its anchor
+    prev_sinr = anchor = anchor_targets = None
 
     for it in range(iterations):
         sinr, eff_itf = observe(power, inputs)
@@ -212,63 +181,50 @@ def _batch_round(
             flagged[live[active_row[no_interior]]] = True
 
         updated = verhulst_step(power, sinr, targets, alpha, params.max_power)
-        if it == iterations - 1:
-            last_change[live] = _movement(power, updated, noise)
         if prev_sinr is not None:
             settled = _settled(sinr, prev_sinr)
             stab = np.where(settled, np.where(stab < 0, it, stab), -1)
-        prev_sinr = sinr
-        power = updated
         step = it + 1  # the state after this iteration is state `step`
         if trajectory is not None:
-            trajectory.append(snapshot(step))
-        if not REPEAT_WINDOW <= step < iterations:
+            trajectory.append(updated)
+
+        leaving = stop == step
+        if leaving.any():
+            left = live[leaving]
+            final_power[left] = updated[leaving]
+            final_targets[left] = targets[leaving]
+            last_change[left] = _movement(power[leaving], updated[leaving], noise)
+            settled_from = stab[leaving]
+            late = settled_from > step - period[leaving]
+            stabilized[left] = np.where(late, settled_from + iterations - step, settled_from)
+            ran[left] = step
+            keep = ~leaving
+            live = live[keep]
+            if live.size == 0:
+                break
+            inputs = take(inputs, keep)
+            active_row = np.nonzero(inputs[3])[0]
+            updated, targets, sinr, stab, stop, period, anchor, anchor_targets = take(
+                (updated, targets, sinr, stab, stop, period, anchor, anchor_targets), keep
+            )
+        prev_sinr = sinr
+        power = updated
+        if trajectory is not None or not REPEAT_WINDOW <= step < iterations:
             continue
 
         slot = step % REPEAT_WINDOW
         if step > REPEAT_WINDOW:
-            same = _same_bytes(power, window[0])
+            same = _same_bytes(power, anchor)
             if resolving:
-                same &= _same_bytes(targets, target_window[0])
-            if same.any():
-                period = slot or REPEAT_WINDOW
-                anchor = step - period
-                done = np.flatnonzero(same)
-                left = live[done]
-                cycle = window[:period, done]
-                phase_end = (iterations - anchor) % period
-                final_power[left] = cycle[phase_end]
-                final_targets[left] = (
-                    target_window[phase_end, done] if resolving else targets[done]
-                )
-                last_change[left] = _movement(cycle[phase_end - 1], cycle[phase_end], noise)
-                leaving = take(inputs, done)
-                cycle_sinr = [observe(p, leaving)[0] for p in cycle]
-                stabilized[left] = _final_settling(cycle_sinr, stab[done], anchor, step, iterations)
-                ran[left] = step
-                if trajectory is not None:
-                    cycles.append((left, anchor, cycle))
+                same &= _same_bytes(targets, anchor_targets)
+            cycle = slot or REPEAT_WINDOW
+            period[same] = cycle
+            stop[same] = step + (iterations - step - 1) % cycle + 1
+        if slot == 0:
+            anchor = power
+            if resolving:
+                anchor_targets = targets.copy()
 
-                keep = ~same
-                live, inputs = live[keep], take(inputs, keep)
-                active_row = np.nonzero(inputs[3])[0]
-                power, targets, stab = power[keep], targets[keep], stab[keep]
-                prev_sinr = prev_sinr[keep]
-                # Slots from `slot` on are overwritten before they are read again.
-                window = _compact(window, slot, keep)
-                if resolving:
-                    target_window = _compact(target_window, slot, keep)
-                if live.size == 0:
-                    break
-        window[slot] = power
-        if resolving:
-            target_window[slot] = targets
-
-    final_power[live] = power
-    final_targets[live] = targets
-    stabilized[live] = stab
-    if trajectory is not None:
-        trajectory.extend(snapshot(t) for t in range(step + 1, iterations + 1))
     sinr, eff_itf = observe(final_power, everyone)
     return final_power, sinr, final_targets, eff_itf, stabilized, last_change, flagged, ran
 
@@ -298,10 +254,10 @@ def run_control_batch(
 
     ``gain_power`` is (B, K) and ``correlation`` (B, K, K).  Realizations whose
     decorrelator cannot be built are marked in ``failed`` instead of aborting
-    the batch.  ``trajectory`` (for checks) collects the power array after
-    every iteration of every round, with the rows that left a round early
-    filled in from their cycle.  ``iterations_run`` counts the iterations each
-    row ran; the results equal those of ``iterations`` per round.
+    the batch.  ``trajectory`` (for checks) makes every row run every
+    iteration and collects the power array after each iteration of every
+    round.  ``iterations_run`` counts the iterations each row ran; the results
+    equal those of ``iterations`` per round.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(f"algorithm must be one of {ALGORITHMS}")

@@ -38,12 +38,9 @@ def sinr_gap(ber) -> float | np.ndarray:
 
 def rate(sinr, gap, bandwidth):
     """Gap-adjusted Shannon rate in bit/s."""
-    return bandwidth * np.log1p(gap * np.asarray(sinr, dtype=float)) / LN2
-
-
-def spectral_efficiency(sinr, gap):
-    """Rate normalised by bandwidth, bit/s/Hz."""
-    return np.log1p(gap * np.asarray(sinr, dtype=float)) / LN2
+    bits = np.log1p(gap * np.asarray(sinr, dtype=float))
+    bits *= bandwidth  # in place: a further temporary per call slows the trade-off sweep
+    return bits / LN2
 
 
 def packet_success(sinr, packet_bits):

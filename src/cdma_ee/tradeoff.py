@@ -14,7 +14,7 @@ import numpy as np
 
 from .channel import check_gain_power, coupling_parameter, draw_channel
 from .errors import ConfigurationError, ReceiverUnavailableError
-from .metrics import EEParams, spectral_efficiency, utility
+from .metrics import EEParams, rate, utility
 from .optimize import scan_unimodal
 from .scenario import RECEIVERS
 from .spreading import (
@@ -133,7 +133,7 @@ def sweep_tradeoff(
     step = max(1, BLOCK_VALUES // grid.size)
     for itf in np.split(eff_itf[:, 0], range(step, draws, step)):
         sinr = grid / itf[:, None]
-        se_sum = np.vstack([se_sum, spectral_efficiency(sinr, gap)]).sum(axis=0)
+        se_sum = np.vstack([se_sum, rate(sinr, gap, 1.0)]).sum(axis=0)
         ee_sum = np.vstack([ee_sum, utility(grid, sinr, params, gap)]).sum(axis=0)
         sinr_sum = np.vstack([sinr_sum, sinr]).sum(axis=0)
 

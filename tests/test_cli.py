@@ -147,6 +147,8 @@ def test_solve_refuses_negative_realization(tmp_path, capsys):
     config = write_config(tmp_path)
     assert main(["solve", "--config", str(config), "--realization", "-1"]) == 2
     assert "--realization must be >= 0" in capsys.readouterr().err
+    assert main(["solve", "--config", str(config), "--k", "0"]) == 2
+    assert "--k must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("receiver", ["mf", "dec"])

@@ -391,13 +391,8 @@ def _cycle_periods(trajectory, iterations):
     ]
 
 
-@pytest.mark.parametrize("sinr_tol", [control.SINR_STABLE_REL_TOL, 2e-16])
-@pytest.mark.parametrize("iterations", [500, 117, 60])
-@pytest.mark.parametrize("case", sorted(EARLY_EXIT_CASES))
-def test_early_exit_matches_full_length_loop(monkeypatch, fig_params, case, iterations, sinr_tol):
-    # A 2e-16 settling tolerance leaves some phases of the rounding-level
-    # cycles unsettled, so the settling iteration falls inside the last cycle.
-    monkeypatch.setattr(control, "SINR_STABLE_REL_TOL", sinr_tol)
+def _early_exit_case(fig_params, case, iterations):
+    """The case's stacked gains and correlations and a runner over them."""
     receiver, algorithm, resolve, k, max_power_dbm, realizations = EARLY_EXIT_CASES[case]
     params = dataclasses.replace(fig_params, max_power=ce.dbm_to_watt(max_power_dbm))
     geometry = ce.RingGeometry(50.0, 200.0)
@@ -414,11 +409,24 @@ def test_early_exit_matches_full_length_loop(monkeypatch, fig_params, case, iter
             resolve_each_iteration=resolve, trajectory=trajectory,
         )
 
+    return gain, corr, run
+
+
+@pytest.mark.parametrize("sinr_tol", [control.SINR_STABLE_REL_TOL, 2e-16])
+@pytest.mark.parametrize("iterations", [500, 117, 60])
+@pytest.mark.parametrize("case", sorted(EARLY_EXIT_CASES))
+def test_early_exit_matches_full_length_loop(monkeypatch, fig_params, case, iterations, sinr_tol):
+    # A 2e-16 settling tolerance leaves some phases of the rounding-level
+    # cycles unsettled, so the settling iteration falls inside the last cycle.
+    monkeypatch.setattr(control, "SINR_STABLE_REL_TOL", sinr_tol)
+    gain, corr, run = _early_exit_case(fig_params, case, iterations)
+
     expected_path, actual_path = [], []
     with monkeypatch.context() as patch:
         patch.setattr(control, "_batch_round", reference_batch_round)
         expected = run(gain, corr, expected_path)
-    actual = run(gain, corr, actual_path)
+    actual = run(gain, corr)
+    run(gain, corr, actual_path)
 
     compared = [f.name for f in dataclasses.fields(actual) if f.name != "iterations_run"]
     for name in compared:
@@ -442,12 +450,33 @@ def test_early_exit_matches_full_length_loop(monkeypatch, fig_params, case, iter
     if case == "dec_alg1":
         assert actual.rounds.max() >= 3
 
-    for b in range(len(scenarios)):
+    for b in range(len(gain)):
         single = run(gain[b : b + 1], corr[b : b + 1])
         assert single.removed[0] == actual.removed[b]
         for name in [*compared, "iterations_run"]:
             if name not in ("removed", "failure_reasons"):
                 assert np.array_equal(getattr(single, name)[0], getattr(actual, name)[b]), name
+
+
+def test_early_exit_stops_within_one_period_past_the_first_repeat(fig_params):
+    # Each row runs on from its first anchor repeat s to the step in the last
+    # iteration's phase of its period P, which lies in (s, s + P].
+    iterations, window = 500, control.REPEAT_WINDOW
+    gain, corr, run = _early_exit_case(fig_params, "dec_baseline", iterations)
+    path = []
+    run(gain, corr, path)
+    powers = np.stack(path).view(np.int64)  # powers[t - 1] is state t
+    periods = set()
+    for b, ran in enumerate(run(gain, corr).iterations_run):
+        first, period = next(
+            (s, s % window or window)
+            for s in range(window + 1, iterations)
+            if np.array_equal(powers[s - 1, b], powers[s - 1 - (s % window or window), b])
+        )
+        periods.add(period)
+        assert first < ran <= first + period
+        assert (iterations - ran) % period == 0
+    assert periods == {1, 2, 3, 6}
 
 
 def test_early_exit_keeps_settling_that_starts_on_the_anchor(monkeypatch, fig_params):
@@ -463,6 +492,6 @@ def test_early_exit_keeps_settling_that_starts_on_the_anchor(monkeypatch, fig_pa
     with monkeypatch.context() as patch:
         patch.setattr(control, "_batch_round", reference_batch_round)
         expected = run_single(scenario, params, algorithm="baseline")
-    assert actual.iterations_run[0] == 2 * control.REPEAT_WINDOW + 1
+    assert actual.iterations_run[0] == 2 * control.REPEAT_WINDOW + 2
     assert actual.stabilized_iteration[0] == expected.stabilized_iteration[0] == 33
     assert actual.power[0, 0] == expected.power[0, 0] == cap

@@ -33,14 +33,15 @@ def test_gap_vector_input():
 def test_rate_and_spectral_efficiency():
     gap = ce.sinr_gap(1e-3)
     assert ce.rate(0.0, gap, 1e6) == 0.0
-    assert ce.spectral_efficiency(0.0, gap) == 0.0
+    assert ce.rate(0.0, gap, 1.0) == 0.0
     # gap * sinr = 1 gives exactly one bit/s/Hz
     assert ce.rate(1.0 / gap, gap, 1e6) == pytest.approx(1e6, rel=1e-12)
     sinr = 1.4632
     expected = 1e6 * math.log2(1.0 + gap * sinr)
     assert ce.rate(sinr, gap, 1e6) == pytest.approx(expected, rel=1e-12)
     assert ce.rate(sinr, gap, 1e6) == pytest.approx(5e5, rel=1e-3)
-    assert ce.rate(sinr, gap, 1e6) == pytest.approx(1e6 * ce.spectral_efficiency(sinr, gap))
+    # spectral efficiency is the rate at a bandwidth of 1 Hz
+    assert ce.rate(sinr, gap, 1e6) == pytest.approx(1e6 * ce.rate(sinr, gap, 1.0))
 
 
 def test_min_sinr_rate_round_trip():

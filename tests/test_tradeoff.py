@@ -34,7 +34,7 @@ def reference_sweep(distances, codes, params, receiver, interferer_power, draws,
         if users > 1:
             interferer_sum += float(np.mean(h2[1:]))
         sinr = grid / itf
-        se_sum += ce.spectral_efficiency(sinr, gap)
+        se_sum += ce.rate(sinr, gap, 1.0)
         ee_sum += ce.utility(grid, sinr, params, gap)
         sinr_sum += sinr
     coupling = (
