@@ -102,6 +102,7 @@ def _cmd_tradeoff(args) -> int:
         config.processing_gain, settings.user_count, np.random.default_rng(config.seed)
     )
     summary = {}
+    coupled = settings.user_count > 1
     for distance in settings.interferer_distances:
         curve = sweep_tradeoff(
             (settings.interest_distance, *(distance,) * (settings.user_count - 1)),
@@ -130,8 +131,9 @@ def _cmd_tradeoff(args) -> int:
             "lambda_gap_bit_per_s_per_hz": curve.lambda_gap,
             "se_monotone": curve.se_monotone,
             "ee_unimodal": curve.ee_unimodal,
-            "coupling": curve.coupling,
-            "coupling_reciprocal": curve.coupling_reciprocal,
+            # A single user has no interferers, so no coupling: null, not NaN.
+            "coupling": curve.coupling if coupled else None,
+            "coupling_reciprocal": curve.coupling_reciprocal if coupled else None,
             # The top of the sweep stands in for the infinite-power SE asymptote.
             "se_reference": "grid top power (asymptotic SE proxy)",
         }

@@ -254,10 +254,13 @@ def run_control_batch(
 
     ``gain_power`` is (B, K) and ``correlation`` (B, K, K).  Realizations whose
     decorrelator cannot be built are marked in ``failed`` instead of aborting
-    the batch.  ``trajectory`` (for checks) makes every row run every
-    iteration and collects the power array after each iteration of every
-    round.  ``iterations_run`` counts the iterations each row ran; the results
-    equal those of ``iterations`` per round.
+    the batch.  Each row's outputs are those of its last round, the first with
+    no removal; a refused row, and a row that lost every user, keeps zero
+    powers, SINRs, targets and interference and a settling iteration of -1.
+    ``trajectory`` (for checks) makes every row run every iteration and
+    collects the power array after each iteration of every round.
+    ``iterations_run`` counts the iterations each row ran; the results equal
+    those of ``iterations`` per round.
     """
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(f"algorithm must be one of {ALGORITHMS}")
@@ -283,27 +286,15 @@ def run_control_batch(
     removed: list[list[int]] = [[] for _ in range(batch)]
     rounds = np.zeros(batch, dtype=int)
     iterations_run = np.zeros(batch, dtype=int)
-    done = np.zeros(batch, dtype=bool)
     failed = np.zeros(batch, dtype=bool)
     failure_reasons: dict[int, str] = {}
+    target_flagged = np.zeros(batch, dtype=bool)
+    out_power, out_sinr, out_targets, out_itf = (np.zeros((batch, users)) for _ in range(4))
+    out_stab, out_change = np.full(batch, -1, dtype=int), np.zeros(batch)
 
-    out_power = np.zeros((batch, users))
-    out_sinr = np.zeros((batch, users))
-    out_targets = np.zeros((batch, users))
-    out_itf = np.zeros((batch, users))
-    out_stab = np.full(batch, -1, dtype=int)
-    out_flagged = np.zeros(batch, dtype=bool)
-    out_change = np.zeros(batch)
-
+    rows = np.flatnonzero(active.any(axis=1))  # the rows still in play
     while True:
-        open_rows = ~done & ~failed
-        emptied = open_rows & ~active.any(axis=1)
-        done |= emptied  # everyone removed: a valid, flagged empty network
-        rows = np.flatnonzero(open_rows & ~emptied)
-        if rows.size == 0:
-            break
         rounds[rows] += 1
-
         dec_itf = None
         if receiver == "dec":
             dec_itf = np.ones((rows.size, users))
@@ -317,8 +308,8 @@ def run_control_batch(
                     failure_reasons[int(b)] = str(exc)
             kept = ~failed[rows]
             rows, dec_itf = rows[kept], dec_itf[kept]
-            if rows.size == 0:
-                continue
+        if rows.size == 0:
+            break
 
         power, sinr, targets, eff_itf, stab, change, flagged, ran = _batch_round(
             gain_power[rows],
@@ -333,31 +324,25 @@ def run_control_batch(
             trajectory=trajectory,
         )
         iterations_run[rows] += ran
+        target_flagged[rows] |= flagged
         rates = rate(sinr, params.gap(), params.bandwidth)
         below = _removal_candidates(algorithm, sinr, targets, active[rows], rates, params.min_rate)
-        has_removal = below.any(axis=1)
 
-        finish = rows[~has_removal]
-        keep = ~has_removal
-        out_power[finish] = power[keep]
-        out_sinr[finish] = sinr[keep]
-        out_targets[finish] = targets[keep]
-        out_itf[finish] = eff_itf[keep]
-        out_stab[finish] = stab[keep]
-        out_change[finish] = change[keep]
-        out_flagged[finish] |= flagged[keep]
-        done[finish] = True
+        last = ~below.any(axis=1)  # no removal candidate: the row's outputs are final
+        finish = rows[last]
+        out_power[finish], out_sinr[finish] = power[last], sinr[last]
+        out_targets[finish], out_itf[finish] = targets[last], eff_itf[last]
+        out_stab[finish], out_change[finish] = stab[last], change[last]
 
-        for offset in np.flatnonzero(has_removal):
-            b = rows[offset]
-            candidates = np.where(below[offset], gain_power[b], np.inf)
-            worst = int(np.argmin(candidates))  # argmin takes the lowest index on ties
-            active[b, worst] = False
-            removed[b].append(worst)
-            out_flagged[b] |= bool(flagged[offset])
+        rows, below = rows[~last], below[~last]
+        worst = np.argmin(np.where(below, gain_power[rows], np.inf), axis=1)  # lowest index on ties
+        active[rows, worst] = False
+        for b, w in zip(rows, worst):
+            removed[b].append(int(w))
+        # A row that lost every user leaves as a valid, flagged empty network.
+        rows = rows[active[rows].any(axis=1)]
 
-    converged = (out_change < POWER_STABLE_REL_TOL) | ~active.any(axis=1)
-    converged &= ~failed
+    converged = ((out_change < POWER_STABLE_REL_TOL) | ~active.any(axis=1)) & ~failed
     return BatchControlResult(
         power=out_power,
         sinr=out_sinr,
@@ -368,7 +353,7 @@ def run_control_batch(
         rounds=rounds,
         converged=converged,
         stabilized_iteration=out_stab,
-        target_flagged=out_flagged,
+        target_flagged=target_flagged,
         failed=failed,
         iterations_run=iterations_run,
         failure_reasons=failure_reasons,

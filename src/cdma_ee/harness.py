@@ -155,6 +155,8 @@ class ScenarioConfig:
             "alpha": (0.0 < self.alpha < 1.0, "must lie in (0, 1)"),
             "iterations": (self.iterations >= 1, "must be >= 1"),
         })
+        counts = self.user_counts
+        _check_ranges(self, {"user_counts": (len(set(counts)) == len(counts), "must not repeat")})
         try:
             self.ee_params()
         except ValueError as exc:  # every EEParams quantity lives under radio:
@@ -543,9 +545,14 @@ def write_csv(path: str | Path, header: list[str], rows) -> Path:
 
 
 def write_json(path: str | Path, data) -> Path:
-    """Write ``data`` as indented JSON with sorted keys and a closing newline."""
+    """Write ``data`` as indented JSON with sorted keys and a closing newline;
+    refuse (``FloatingPointError``) a NaN or infinity, which JSON cannot hold."""
     path = Path(path)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise FloatingPointError(f"{path}: {exc}") from exc
+    path.write_text(text + "\n")
     return path
 
 
@@ -689,9 +696,12 @@ def _coerce(value, hint, path: str, echo: bool):
     ):  # int() and float() would turn true into 1, int() truncates 2.7 to 2
         raise ConfigurationError(f"{path} must be {hint.__name__}, got {value!r}")
     try:
-        return hint(value)
-    except (TypeError, ValueError) as exc:
+        value = hint(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"{path} must be {hint.__name__}, got {value!r}") from exc
+    if hint is float and not math.isfinite(value):
+        raise ConfigurationError(f"{path} must be finite, got {value!r}")
+    return value
 
 
 def _load(cls, data, echo: bool, where: str = "", overrides: dict | None = None):
@@ -723,7 +733,12 @@ def _load(cls, data, echo: bool, where: str = "", overrides: dict | None = None)
         if name in paths:
             raise ConfigurationError(f"{paths[name]} and {path} exclude each other")
         paths[name] = path
-        value = dbm_to_watt(_coerce(source[key], float, path, echo)) if dbm else source[key]
+        value = source[key]
+        if dbm:
+            try:
+                value = dbm_to_watt(_coerce(value, float, path, echo))
+            except OverflowError:
+                raise ConfigurationError(f"{path} overflows in watts, got {value!r}") from None
         values[name] = _coerce(value, hints[name], path, echo)
     for name, value in (overrides or {}).items():
         values[name] = _coerce(value, hints[name], name, echo)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import check_gain_power, coupling_parameter, draw_channel
-from .errors import ConfigurationError, ReceiverUnavailableError
+from .errors import ConfigurationError
 from .metrics import EEParams, rate, utility
 from .optimize import scan_unimodal
 from .scenario import RECEIVERS
@@ -110,7 +110,7 @@ def sweep_tradeoff(
         raise ConfigurationError("fading_draws must be >= 1")
 
     if receiver == "dec" and (reason := decorrelator_load_error(users, codes.processing_gain)):
-        raise ReceiverUnavailableError(reason)
+        raise ConfigurationError(reason)
 
     gain_power = draw_channel(
         np.broadcast_to(distances, (draws, users)), path_loss_exponent, fading, rng

@@ -176,9 +176,25 @@ def test_missing_config_exits_with_config_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_bad_receiver_k_combination_exits_numeric_or_config(tmp_path, capsys):
-    config = write_config(tmp_path, system={"receiver": "dec", "user_counts": [40]})
-    assert main(["solve", "--config", str(config), "--k", "40"]) == 2
+@pytest.mark.parametrize("command", ["solve", "tradeoff"])
+def test_bad_receiver_k_combination_exits_numeric_or_config(tmp_path, capsys, command):
+    config = write_config(
+        tmp_path, system={"receiver": "dec", "user_counts": [40]}, tradeoff={"user_count": 40}
+    )
+    assert main([command, "--config", str(config)]) == 2
+    assert "decorrelator needs K <= N" in capsys.readouterr().err
+
+
+def test_single_user_tradeoff_writes_strict_json(tmp_path):
+    config = write_config(tmp_path, tradeoff={"user_count": 1})
+    assert main(["tradeoff", "--config", str(config)]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    text = (tmp_path / "out" / "tradeoff_metadata.json").read_text()
+    curves = json.loads(text, parse_constant=refuse)["curves"].values()
+    assert all(c["coupling"] is None and c["coupling_reciprocal"] is None for c in curves)
 
 
 def test_preset_configs_are_reachable(tmp_path):
@@ -218,6 +234,14 @@ def test_preset_configs_are_reachable(tmp_path):
         ({"seed": -1}, "seed"),
         ({"control": {"alpha": 1.0}}, "control.alpha"),
         ({"control": {"iterations": 0}}, "control.iterations"),
+        ({"radio": {"circuit_power_w": float("nan")}}, "radio.circuit_power_w must be finite"),
+        ({"radio": {"max_power_w": float("inf")}}, "radio.max_power_w must be finite"),
+        ({"radio": {"bandwidth_hz": float("inf")}}, "radio.bandwidth_hz must be finite"),
+        ({"radio": {"min_rate_bps": float("nan")}}, "radio.min_rate_bps must be finite"),
+        ({"radio": {"max_power_dbm": 1.0e6}}, "radio.max_power_dbm overflows"),
+        ({"radio": {"bandwidth_hz": 10**400}}, "radio.bandwidth_hz must be float"),
+        ({"tradeoff": {"interest_distance_m": float("inf")}}, "tradeoff.interest_distance_m"),
+        ({"system": {"user_counts": [2, 2, 3]}}, "system.user_counts must not repeat"),
     ],
 )
 def test_bad_config_exits_with_config_code(tmp_path, capsys, overrides, named):

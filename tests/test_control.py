@@ -274,23 +274,49 @@ def test_baseline_sum_power_dominates_alg1(fig_params):
     assert base.power.sum() >= one.power.sum()
 
 
+INFEASIBLE_PARAMS = ce.EEParams(
+    packet_bits=80,
+    info_bits=50,
+    circuit_power=0.0,
+    bandwidth=1e6,
+    max_power=1e-12,
+    noise_power=1e-12,
+    ber=1e-3,
+)
+
+
+def assert_default_outputs(result, row):
+    """A row that never finished a round without removal keeps its initial outputs."""
+    for name in ("power", "sinr", "target_sinr", "eff_interference"):
+        assert np.all(getattr(result, name)[row] == 0.0), name
+    assert result.stabilized_iteration[row] == -1
+
+
 def test_removal_order_worst_gain_first():
     # all users infeasible: they are dropped worst gain first, one per round
-    params = ce.EEParams(
-        packet_bits=80,
-        info_bits=50,
-        circuit_power=0.0,
-        bandwidth=1e6,
-        max_power=1e-12,
-        noise_power=1e-12,
-        ber=1e-3,
-    )
     scenario = orthogonal_scenario([50.0, 80.0, 120.0])
-    result = run_single(scenario, params)
+    result = run_single(scenario, INFEASIBLE_PARAMS)
     assert result.removed[0] == [2, 1, 0]
     assert not result.active.any()
     assert result.converged[0]  # empty network is a valid, flagged outcome
     assert result.rounds[0] == 3
+    assert_default_outputs(result, 0)
+
+
+def test_dec_refusal_after_a_removal_keeps_default_outputs(monkeypatch):
+    # round 1 removes the worst user; its decorrelator is then refused in round 2
+    def refuse_partial(gain_power, correlation, active, noise_power):
+        if not np.all(active):
+            raise ce.ReceiverUnavailableError("refused: a user is inactive")
+        return noise_power / gain_power
+
+    monkeypatch.setattr(control, "dec_eff_interference", refuse_partial)
+    scenario = orthogonal_scenario([50.0, 80.0, 120.0], receiver="dec")
+    result = run_single(scenario, INFEASIBLE_PARAMS)
+    assert result.failed[0] and not result.converged[0]
+    assert result.rounds[0] == 2 and result.removed[0] == [2]
+    assert result.failure_reasons == {0: "refused: a user is inactive"}
+    assert_default_outputs(result, 0)
 
 
 def test_dec_removal_never_raises_survivor_noise_enhancement():

@@ -390,3 +390,10 @@ def test_aggregate_rows_counts_failures():
     aggregates = aggregate_rows(report.rows, errors)
     entry = [a for a in aggregates if a["k_users"] == 2][0]
     assert entry["failed_realizations"] == 1
+
+
+def test_write_json_refuses_non_finite_numbers(tmp_path):
+    target = tmp_path / "bad.json"
+    with pytest.raises(FloatingPointError) as excinfo:
+        harness.write_json(target, {"coupling": float("nan")})
+    assert "bad.json" in str(excinfo.value) and not target.exists()
