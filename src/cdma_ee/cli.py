@@ -94,25 +94,23 @@ def _cmd_run(args) -> int:
 
 def _cmd_tradeoff(args) -> int:
     config = config_from_dict(load_config_data(args.config), _overrides(args))
-    settings = config.tradeoff
+    users = config.tradeoff_user_count
     params = config.ee_params()
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    codes = generate_codes(
-        config.processing_gain, settings.user_count, np.random.default_rng(config.seed)
-    )
+    codes = generate_codes(config.processing_gain, users, np.random.default_rng(config.seed))
     summary = {}
-    coupled = settings.user_count > 1
-    for distance in settings.interferer_distances:
+    coupled = users > 1
+    for distance in config.interferer_distances:
         curve = sweep_tradeoff(
-            (settings.interest_distance, *(distance,) * (settings.user_count - 1)),
+            (config.interest_distance, *(distance,) * (users - 1)),
             codes,
             params,
             config.receiver,
-            settings.interferer_power,
-            sweep_powers=default_sweep_grid(params.max_power, settings.sweep_points),
+            config.interferer_power,
+            sweep_powers=default_sweep_grid(params.max_power, config.sweep_points),
             fading=config.fading,
-            fading_draws=settings.fading_draws,
+            fading_draws=config.fading_draws,
             path_loss_exponent=config.path_loss_exponent,
             rng=np.random.default_rng(config.seed),
         )
@@ -137,7 +135,8 @@ def _cmd_tradeoff(args) -> int:
             # The top of the sweep stands in for the infinite-power SE asymptote.
             "se_reference": "grid top power (asymptotic SE proxy)",
         }
-        print(f"{name}: lambda={curve.lambda_gap:.6g} bit/s/Hz, coupling={curve.coupling:.6g}")
+        coupling = f", coupling={curve.coupling:.6g}" if coupled else ""
+        print(f"{name}: lambda={curve.lambda_gap:.6g} bit/s/Hz{coupling}")
     write_json(
         out / "tradeoff_metadata.json",
         {"version": __version__, "seed": config.seed, "curves": summary},

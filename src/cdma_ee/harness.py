@@ -24,7 +24,7 @@ import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from statistics import NormalDist
@@ -34,7 +34,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .channel import FixedGeometry, Geometry, RingGeometry, draw_placement
+from .channel import FADING_KINDS, FixedGeometry, Geometry, RingGeometry, draw_placement
 from .control import ALGORITHMS, run_control_batch
 from .errors import ConfigurationError
 from .metrics import EEParams, dbm_to_watt, global_ee, rate
@@ -53,14 +53,14 @@ METRIC_FIELDS = {
     "removed_count": "removed_count",
 }
 
-# Config keys that cannot change a byte of raw.csv or aggregate.csv; config_hash leaves them out.
+# Config fields that cannot change a byte of raw.csv or aggregate.csv; config_hash leaves them out.
 UNHASHED_KEYS = {"output_dir", "workers"}
-# Config keys allowed to differ between the two sides of a paired comparison:
+# Config fields allowed to differ between the two sides of a paired comparison:
 # they select the scheme under test without touching the random draws.
 PAIRABLE_KEYS = {"name", *UNHASHED_KEYS, "algorithm", "receiver", "min_rate"}
 
 # The sections of a YAML config document, and the key of a geometry's kind.
-SYSTEM, RADIO, CONTROL, KIND = "system", "radio", "control", "kind"
+SYSTEM, RADIO, CONTROL, TRADEOFF, KIND = "system", "radio", "control", "tradeoff", "kind"
 # Geometry kind -> its class and the document key of each of its fields.
 GEOMETRIES = {
     "ring": (RingGeometry, ("inner_radius_m", "outer_radius_m")),
@@ -71,7 +71,7 @@ GEOMETRIES = {
 def _key(default, section: str | None = None, key: str | None = None, power: bool = False):
     """A config field at YAML ``key`` (default: its name) in ``section`` (default:
     the top level); a power is given as ``<key>_dbm`` or ``<key>_w`` and held in
-    watts.  The echo in ``metadata.json`` keys every field by its name."""
+    watts."""
     return field(default=default, metadata={"section": section, "key": key, "power": power})
 
 
@@ -79,44 +79,10 @@ def _path(*parts) -> str:
     return ".".join(str(part) for part in parts if part)
 
 
-def _check_ranges(config, checks: dict) -> None:
-    """Raise for the first field of ``checks`` (name -> (ok, need)) that is not ok,
-    naming its section and key; ``_load`` prefixes a nested config's path."""
-    for name, (ok, need) in checks.items():
-        if not ok:
-            meta = config.__dataclass_fields__[name].metadata
-            key = _path(meta.get("section"), meta.get("key") or name)
-            raise ConfigurationError(f"{key} {need}")
-
-
-@dataclass(frozen=True)
-class TradeoffSettings:
-    """Sweep configuration for the EE-SE trade-off scenario family."""
-
-    interest_distance: float = _key(50.0, key="interest_distance_m")
-    interferer_distances: tuple[float, ...] = _key(
-        (200.0, 100.0, 80.0), key="interferer_distances_m"
-    )
-    user_count: int = 3
-    interferer_power: float = _key(1e-2, power=True)
-    sweep_points: int = 400
-    fading_draws: int = 5000
-
-    def __post_init__(self):
-        _check_ranges(self, {
-            "interest_distance": (self.interest_distance > 0.0, "must be > 0"),
-            "interferer_distances": (min(self.interferer_distances, default=1.0) > 0.0,
-                                     "must all be > 0"),
-            "user_count": (self.user_count >= 1, "must be >= 1"),
-            "interferer_power": (self.interferer_power >= 0.0, "must be >= 0"),
-            "sweep_points": (self.sweep_points >= 1, "must be >= 1"),
-            "fading_draws": (self.fading_draws >= 1, "must be >= 1"),
-        })
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Resolved run configuration (powers in watts, rates in bit/s)."""
+    """Resolved run configuration (powers in watts, rates in bit/s); the
+    ``tradeoff`` section configures the EE-SE trade-off sweeps."""
 
     name: str = "run"
     seed: int = 20260810
@@ -142,38 +108,78 @@ class ScenarioConfig:
     iterations: int = _key(500, CONTROL)
     resolve_targets_each_iteration: bool = _key(True, CONTROL)
     count_removed_circuit_power: bool = _key(False, CONTROL)
-    tradeoff: TradeoffSettings = TradeoffSettings()
+    interest_distance: float = _key(50.0, TRADEOFF, "interest_distance_m")
+    interferer_distances: tuple[float, ...] = _key(
+        (200.0, 100.0, 80.0), TRADEOFF, "interferer_distances_m"
+    )
+    tradeoff_user_count: int = _key(3, TRADEOFF, "user_count")
+    interferer_power: float = _key(1e-2, TRADEOFF, power=True)
+    sweep_points: int = _key(400, TRADEOFF)
+    fading_draws: int = _key(5000, TRADEOFF)
 
     def __post_init__(self):
-        _check_ranges(self, {
+        self._check({
             "seed": (self.seed >= 0, "must be >= 0"),
             "realizations": (self.realizations >= 1, "must be >= 1"),
             "processing_gain": (self.processing_gain >= 1, "must be >= 1"),
             "receiver": (self.receiver in RECEIVERS, f"must be one of {RECEIVERS}"),
             "algorithm": (self.algorithm in ALGORITHMS, f"must be one of {ALGORITHMS}"),
             "user_counts": (min(self.user_counts, default=0) >= 1, "must be positive"),
+            "path_loss_exponent": (self.path_loss_exponent > 0.0, "must be > 0"),
+            "fading": (self.fading in FADING_KINDS, f"must be one of {FADING_KINDS}"),
             "alpha": (0.0 < self.alpha < 1.0, "must lie in (0, 1)"),
             "iterations": (self.iterations >= 1, "must be >= 1"),
+            "interest_distance": (self.interest_distance > 0.0, "must be > 0"),
+            "interferer_distances": (min(self.interferer_distances, default=1.0) > 0.0,
+                                     "must all be > 0"),
+            "tradeoff_user_count": (self.tradeoff_user_count >= 1, "must be >= 1"),
+            "interferer_power": (self.interferer_power >= 0.0, "must be >= 0"),
+            "sweep_points": (self.sweep_points >= 1, "must be >= 1"),
+            "fading_draws": (self.fading_draws >= 1, "must be >= 1"),
         })
         counts = self.user_counts
-        _check_ranges(self, {"user_counts": (len(set(counts)) == len(counts), "must not repeat")})
+        self._check({
+            "user_counts": (len(set(counts)) == len(counts), "must not repeat"),
+            "interferer_distances": (len(self.interferer_distances) > 0, "must not be empty"),
+        })
         try:
             self.ee_params()
         except ValueError as exc:  # every EEParams quantity lives under radio:
             raise ConfigurationError(f"{RADIO}: {exc}") from exc
 
+    def _check(self, checks: dict) -> None:
+        """Raise for the first field of ``checks`` (name -> (ok, need)) that is not
+        ok, naming its section and key."""
+        for name, (ok, need) in checks.items():
+            if not ok:
+                section, key, _ = _LOCATION[name]
+                raise ConfigurationError(f"{_path(section, key)} {need}")
+
     def ee_params(self) -> EEParams:
         return EEParams(**{f.name: getattr(self, f.name) for f in fields(EEParams)})
 
     def echo_dict(self) -> dict:
-        """Canonical plain-dict form for metadata and hashing."""
-        return _echo(self)
+        """The config as the YAML document that ``config_from_dict`` reads back to
+        it: powers as ``<key>_w`` in watts, tuples as lists, a geometry as its mapping."""
+        document = {}
+        for name, (section, key, power) in _LOCATION.items():
+            into = document.setdefault(section, {}) if section else document
+            into[f"{key}_w" if power else key] = _plain(getattr(self, name))
+        return document
 
     def config_hash(self) -> str:
         """Hash of the echo without ``UNHASHED_KEYS``."""
         echo = {k: v for k, v in self.echo_dict().items() if k not in UNHASHED_KEYS}
         canonical = json.dumps(echo, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+
+
+# Config field -> (section, document key, is a power), from each field's ``_key``.
+_LOCATION = {
+    f.name: (f.metadata.get("section"), f.metadata.get("key") or f.name, f.metadata.get("power"))
+    for f in fields(ScenarioConfig)
+}
+_HINTS = get_type_hints(ScenarioConfig)
 
 
 @dataclass(frozen=True)
@@ -469,12 +475,10 @@ def paired_comparison(
         raise ConfigurationError(f"metric must be one of {sorted(METRIC_FIELDS)}")
     if report_a.config.seed != report_b.config.seed:
         raise ConfigurationError("refusing comparison: seeds differ")
-    echo_a = report_a.config.echo_dict()
-    echo_b = report_b.config.echo_dict()
-    for key in echo_a.keys() - PAIRABLE_KEYS:
-        if echo_a[key] != echo_b[key]:
+    for name in sorted(_LOCATION.keys() - PAIRABLE_KEYS):
+        if getattr(report_a.config, name) != getattr(report_b.config, name):
             raise ConfigurationError(
-                f"refusing comparison: configs differ in {key!r} "
+                f"refusing comparison: configs differ in {name!r} "
                 "(only algorithm/receiver selection may differ)"
             )
 
@@ -640,17 +644,14 @@ def read_report(run_dir: str | Path) -> RunReport:
 # Config file handling
 
 
-def _echo(value):
-    """A config value as plain data: a geometry as its document mapping, other
-    dataclasses as dicts keyed by field name, tuples as lists."""
+def _plain(value):
+    """A config value as plain data: tuples as lists, a geometry as its document mapping."""
     if isinstance(value, tuple):
         return list(value)
     for kind, (cls, keys) in GEOMETRIES.items():
         if isinstance(value, cls):
-            values = (_echo(getattr(value, f.name)) for f in fields(cls))
+            values = (_plain(getattr(value, f.name)) for f in fields(cls))
             return {KIND: kind, **dict(zip(keys, values))}
-    if is_dataclass(value):
-        return {f.name: _echo(getattr(value, f.name)) for f in fields(value)}
     return value
 
 
@@ -667,10 +668,8 @@ def _check_keys(data, known, path: str, required=()) -> dict:
     return data
 
 
-def _coerce(value, hint, path: str, echo: bool):
+def _coerce(value, hint, path: str):
     """A document value as a field of type ``hint``; errors name ``path``."""
-    if is_dataclass(hint):
-        return _load(hint, value, echo, path)
     if hint == Geometry:
         kind = value.get(KIND) if isinstance(value, dict) else None
         if kind not in GEOMETRIES:
@@ -678,17 +677,21 @@ def _coerce(value, hint, path: str, echo: bool):
         cls, keys = GEOMETRIES[kind]
         _check_keys(value, (KIND, *keys), path, required=keys)
         hints = get_type_hints(cls).values()
-        return cls(*(_coerce(value[k], h, _path(path, k), echo) for k, h in zip(keys, hints)))
+        args = [_coerce(value[k], h, _path(path, k)) for k, h in zip(keys, hints)]
+        try:
+            return cls(*args)
+        except ConfigurationError as exc:  # the geometry's own checks name no key
+            raise ConfigurationError(f"{path}: {exc}") from exc
     if get_origin(hint) is tuple:
         item = get_args(hint)[0]
         if isinstance(value, dict) and item is int:  # {start, stop}, both included
             ends = ("start", "stop")
             _check_keys(value, ends, path, required=ends)
-            start, stop = (_coerce(value[k], int, _path(path, k), echo) for k in ends)
+            start, stop = (_coerce(value[k], int, _path(path, k)) for k in ends)
             value = range(start, stop + 1)
         if not isinstance(value, (list, tuple, range)):
             raise ConfigurationError(f"{path} must be a list, got {value!r}")
-        return tuple(_coerce(v, item, path, echo) for v in value)
+        return tuple(_coerce(v, item, path) for v in value)
     if hint is bool and not isinstance(value, bool):
         raise ConfigurationError(f"{path} must be true or false, got {value!r}")
     if (hint in (int, float) and isinstance(value, bool)) or (
@@ -704,61 +707,57 @@ def _coerce(value, hint, path: str, echo: bool):
     return value
 
 
-def _load(cls, data, echo: bool, where: str = "", overrides: dict | None = None):
-    """Build config dataclass ``cls`` from its YAML document or, with ``echo``,
-    from its echo, which must hold every field; ``overrides`` sets fields by name."""
-    locations = {}  # (section, document key) -> (field name, key holds dBm)
-    for f in fields(cls):
-        meta = {} if echo else f.metadata
-        section, key = meta.get("section"), meta.get("key") or f.name
-        if meta.get("power"):
-            locations[section, f"{key}_dbm"] = (f.name, True)
-            locations[section, f"{key}_w"] = (f.name, False)
-        else:
-            locations[section, key] = (f.name, False)
-    sections = {section for section, _ in locations if section}
-    top = [key for section, key in locations if not section]
-    _check_keys(data, sections.union(top), where, required=top if echo else ())
+def config_from_dict(data: dict, overrides: dict | None = None) -> ScenarioConfig:
+    """Build a resolved config from a YAML document (its ``variants`` list is
+    expanded by ``expand_variants``); ``overrides`` sets fields by name (the
+    command line's ``--seed`` and the like)."""
+    if isinstance(data, dict):
+        data = {key: value for key, value in data.items() if key != "variants"}
+    keys = {}  # (section, document key) -> (field name, key holds dBm)
+    for name, (section, key, power) in _LOCATION.items():
+        for suffix, dbm in (("_dbm", True), ("_w", False)) if power else (("", False),):
+            keys[section, key + suffix] = (name, dbm)
+    sections = {section for section, _ in keys if section}
+    _check_keys(data, sections.union(key for section, key in keys if not section), "")
     for section in sections & set(data):
-        keys = {key for s, key in locations if s == section}
-        _check_keys(data[section], keys, _path(where, section))
+        _check_keys(data[section], {key for s, key in keys if s == section}, section)
 
-    hints = get_type_hints(cls)
     values, paths = {}, {}
-    for (section, key), (name, dbm) in locations.items():
+    for (section, key), (name, dbm) in keys.items():
         source = data.get(section, {}) if section else data
         if key not in source:
             continue
-        path = _path(where, section, key)
+        path = _path(section, key)
         if name in paths:
             raise ConfigurationError(f"{paths[name]} and {path} exclude each other")
         paths[name] = path
         value = source[key]
         if dbm:
             try:
-                value = dbm_to_watt(_coerce(value, float, path, echo))
+                value = dbm_to_watt(_coerce(value, float, path))
             except OverflowError:
                 raise ConfigurationError(f"{path} overflows in watts, got {value!r}") from None
-        values[name] = _coerce(value, hints[name], path, echo)
+        values[name] = _coerce(value, _HINTS[name], path)
     for name, value in (overrides or {}).items():
-        values[name] = _coerce(value, hints[name], name, echo)
-    try:
-        return cls(**values)
-    except ConfigurationError as exc:  # a nested config's own checks name its key only
-        raise ConfigurationError(_path(where, exc)) from exc
+        values[name] = _coerce(value, _HINTS[name], name)
+    return ScenarioConfig(**values)
 
 
-def config_from_dict(data: dict, overrides: dict | None = None) -> ScenarioConfig:
-    """Build a resolved config from a (nested) YAML document; ``overrides``
-    sets fields by name (the command line's ``--seed`` and the like)."""
-    if isinstance(data, dict):  # the variants list is expanded by expand_variants
-        data = {key: value for key, value in data.items() if key != "variants"}
-    return _load(ScenarioConfig, data, False, overrides=overrides)
+def _differences(a, b, path: str = "") -> list[str]:
+    """The dotted keys at which plain documents ``a`` and ``b`` differ."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return [] if a == b else [path]
+    keys = sorted(a.keys() | b.keys())
+    return [d for key in keys for d in _differences(a.get(key), b.get(key), _path(path, key))]
 
 
 def config_from_echo(echo: dict) -> ScenarioConfig:
-    """Rebuild a config from the canonical echo stored in metadata."""
-    return _load(ScenarioConfig, echo, True)
+    """Rebuild a config from its echo in metadata, a config document that must
+    equal the rebuilt config's own echo: every key, each power in watts."""
+    config = config_from_dict(echo)
+    if differ := _differences(echo, config.echo_dict()):
+        raise ConfigurationError(f"config is not a run's echo: it differs at {', '.join(differ)}")
+    return config
 
 
 def _merge_dicts(base: dict, override: dict) -> dict:

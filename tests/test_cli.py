@@ -77,8 +77,20 @@ def test_run_with_overrides(tmp_path):
     )
     meta = json.loads((target / "metadata.json").read_text())
     assert meta["seed"] == 9
-    assert meta["config"]["algorithm"] == "baseline"
+    assert meta["config"]["system"]["algorithm"] == "baseline"
     assert meta["config"]["realizations"] == 1
+
+
+def test_run_of_a_metadata_config_writes_the_same_tables(tmp_path):
+    # the config echoed in metadata.json is a config document that reproduces the run
+    config = write_config(tmp_path, radio={"noise_power_dbm": -90.0, "max_power_dbm": 10.0})
+    assert main(["run", "--config", str(config)]) == 0
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(meta["config"]))
+    assert main(["run", "--config", str(replay), "--out", str(tmp_path / "again")]) == 0
+    for name in ("raw.csv", "aggregate.csv"):
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "out" / name).read_bytes()
 
 
 def test_run_variants_make_subdirectories(tmp_path):
@@ -185,9 +197,10 @@ def test_bad_receiver_k_combination_exits_numeric_or_config(tmp_path, capsys, co
     assert "decorrelator needs K <= N" in capsys.readouterr().err
 
 
-def test_single_user_tradeoff_writes_strict_json(tmp_path):
+def test_single_user_tradeoff_writes_strict_json(tmp_path, capsys):
     config = write_config(tmp_path, tradeoff={"user_count": 1})
     assert main(["tradeoff", "--config", str(config)]) == 0
+    assert "nan" not in capsys.readouterr().out.lower()
 
     def refuse(constant):
         raise ValueError(f"{constant} is not JSON")
@@ -242,6 +255,16 @@ def test_preset_configs_are_reachable(tmp_path):
         ({"radio": {"bandwidth_hz": 10**400}}, "radio.bandwidth_hz must be float"),
         ({"tradeoff": {"interest_distance_m": float("inf")}}, "tradeoff.interest_distance_m"),
         ({"system": {"user_counts": [2, 2, 3]}}, "system.user_counts must not repeat"),
+        ({"system": {"fading": "foo"}}, "system.fading must be one of"),
+        ({"system": {"path_loss_exponent": 0}}, "system.path_loss_exponent must be > 0"),
+        ({"system": {"geometry": {"kind": "ring", "inner_radius_m": 300.0,
+                                  "outer_radius_m": 200.0}}},
+         "system.geometry: ring needs inner_radius < outer_radius"),
+        ({"system": {"geometry": {"kind": "fixed", "interest_distance_m": 0.0,
+                                  "interferer_distances_m": [80.0]}}},
+         "system.geometry: all distances must be positive"),
+        ({"tradeoff": {"interferer_distances_m": []}},
+         "tradeoff.interferer_distances_m must not be empty"),
     ],
 )
 def test_bad_config_exits_with_config_code(tmp_path, capsys, overrides, named):
@@ -255,6 +278,17 @@ def _drop_config(run_dir):
     meta = json.loads((run_dir / "metadata.json").read_text())
     del meta["config"]
     (run_dir / "metadata.json").write_text(json.dumps(meta))
+
+
+def _edit_config(run_dir, edit):
+    meta = json.loads((run_dir / "metadata.json").read_text())
+    edit(meta["config"])
+    (run_dir / "metadata.json").write_text(json.dumps(meta))
+
+
+def _power_in_dbm(config):
+    config["radio"]["noise_power_dbm"] = -90.0
+    del config["radio"]["noise_power_w"]
 
 
 def _add_error_without_k(run_dir):
@@ -281,8 +315,11 @@ def _set_raw_cell(run_dir, row, column, value):
         (_drop_config, "metadata.json", '"config"'),
         (lambda d: _set_raw_cell(d, 1, "converged", "yes"), "raw.csv", "converged value 'yes'"),
         (_add_error_without_k, "metadata.json", '"errors" entry'),
+        (lambda d: _edit_config(d, lambda c: c["radio"].pop("ber")), "metadata.json", "radio.ber"),
+        (lambda d: _edit_config(d, _power_in_dbm), "metadata.json", "radio.noise_power_dbm"),
     ],
-    ids=["renamed_column", "no_config", "converged_yes", "error_without_k"],
+    ids=["renamed_column", "no_config", "converged_yes", "error_without_k", "echo_without_ber",
+         "echo_in_dbm"],
 )
 def test_compare_rejects_malformed_run(tmp_path, capsys, damage, file, named):
     assert main(["run", "--config", str(write_config(tmp_path)), "--realizations", "1"]) == 0

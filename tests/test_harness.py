@@ -227,6 +227,7 @@ def test_emit_and_read_round_trip(tmp_path):
         assert loaded.aggregates == report.aggregates
         assert loaded.config == config
         meta = json.loads(paths["metadata"].read_text())
+        assert config_from_dict(meta["config"]) == config
         assert meta["seed"] == config.seed
         assert meta["config_hash"] == config.config_hash()
         assert set(meta["draw_checksums"]) == {str(k) for k in user_counts}
