@@ -51,6 +51,8 @@ SINR_STABLE_REL_TOL = 1e-6
 # iterations, so a cycle of period up to this length is found within two
 # windows of its start; the row then runs at most one more period.
 REPEAT_WINDOW = 16
+# Matrix entries per stacked decorrelator inverse; bounds the stack and its temporaries.
+DEC_BLOCK_VALUES = 1 << 15
 
 
 @dataclass
@@ -297,17 +299,27 @@ def run_control_batch(
         rounds[rows] += 1
         dec_itf = None
         if receiver == "dec":
-            dec_itf = np.ones((rows.size, users))
-            for offset, b in enumerate(rows):
+            # One stacked inverse per block of rows with the same active count.
+            dec_itf = np.ones((batch, users))
+            blocks, counts = [], active[rows].sum(axis=1)
+            for k in np.unique(counts):
+                group, step = rows[counts == k], max(1, DEC_BLOCK_VALUES // (k * k))
+                blocks += np.split(group, range(step, group.size, step))
+            while blocks:
+                block = blocks.pop()
                 try:
-                    dec_itf[offset, active[b]] = dec_eff_interference(
-                        gain_power[b], correlation[b], active[b], params.noise_power
+                    itf = dec_eff_interference(
+                        gain_power[block], correlation[block], active[block], params.noise_power
                     )
                 except ReceiverUnavailableError as exc:
-                    failed[b] = True
-                    failure_reasons[int(b)] = str(exc)
-            kept = ~failed[rows]
-            rows, dec_itf = rows[kept], dec_itf[kept]
+                    if block.size > 1:  # retried row by row: each refusal keeps its reason
+                        blocks += np.split(block, block.size)
+                    else:
+                        failed[block], failure_reasons[int(block[0])] = True, str(exc)
+                    continue
+                dec_itf[block[:, None], np.nonzero(active[block])[1].reshape(itf.shape)] = itf
+            rows = rows[~failed[rows]]
+            dec_itf = dec_itf[rows]
         if rows.size == 0:
             break
 

@@ -54,10 +54,10 @@ METRIC_FIELDS = {
 }
 
 # Config fields that cannot change a byte of raw.csv or aggregate.csv; config_hash leaves them out.
-UNHASHED_KEYS = {"output_dir", "workers"}
+UNHASHED_KEYS = {"name", "output_dir", "workers"}
 # Config fields allowed to differ between the two sides of a paired comparison:
 # they select the scheme under test without touching the random draws.
-PAIRABLE_KEYS = {"name", *UNHASHED_KEYS, "algorithm", "receiver", "min_rate"}
+PAIRABLE_KEYS = {*UNHASHED_KEYS, "algorithm", "receiver", "min_rate"}
 
 # The sections of a YAML config document, and the key of a geometry's kind.
 SYSTEM, RADIO, CONTROL, TRADEOFF, KIND = "system", "radio", "control", "tradeoff", "kind"
@@ -249,7 +249,7 @@ class RunReport:
     aggregates: list[dict]
     errors: list[dict]
     version: str = __version__
-    # Per-K counters keyed by str(K): Verhulst iterations run against the budget.
+    # Per-K counters of the kept rows by str(K): verhulst_iterations, rounds, target_flagged.
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -320,50 +320,53 @@ def _run_chunk(config: ScenarioConfig, user_counts: list[int], realizations: lis
     """Run a block of realizations at every K and turn it into records (worker entry point).
 
     Returns, per K in ``user_counts`` order, ``(K, records, errors,
-    iterations)``: the records of the kept realizations, an error entry for
-    each refused one and the Verhulst iterations the kept ones ran and were
-    budgeted (rounds times ``iterations``).
+    diagnostics)``: the records of the kept realizations, an error entry for
+    each refused one and the kept ones' counters: Verhulst iterations run and
+    budgeted (rounds times ``iterations``), rounds and flagged solves.
     """
     params = config.ee_params()
-    gap = params.gap()
+    gap, circuit = params.gap(), params.circuit_power
     chunk = []
     for k_users, seeds, scenarios, result in run_block(config, user_counts, realizations):
-        kept = ~result.failed
-        iterations = (
-            int(result.iterations_run[kept].sum()),
-            int(result.rounds[kept].sum()) * config.iterations,
-        )
+        kept = np.flatnonzero(~result.failed)
+        rounds = int(result.rounds[kept].sum())
+        diagnostics = {
+            "verhulst_iterations": {
+                "run": int(result.iterations_run[kept].sum()), "budget": rounds * config.iterations
+            },
+            "rounds": rounds,
+            "target_flagged": int(result.target_flagged[kept].sum()),
+        }
+        # Sum rate, sum power and global EE over the rows of each active count at once.
+        sum_rate, sum_power, ee = (np.zeros(len(realizations)) for _ in range(3))
+        counts = result.active[kept].sum(axis=1)
+        for k in np.unique(counts):
+            rows = kept[counts == k]
+            active = result.active[rows]
+            sinr = result.sinr[rows][active].reshape(rows.size, k)
+            power = result.power[rows][active].reshape(rows.size, k)
+            rates = rate(sinr, gap, config.bandwidth)
+            sum_rate[rows] = rates.sum(axis=1)
+            sum_power[rows] = (power + circuit).sum(axis=1)
+            extra = k_users - k if config.count_removed_circuit_power else 0  # removed users
+            ee[rows] = global_ee(rates, sinr, power, params, extra_circuit_users=extra)
+        errors = [
+            dict(k_users=k_users, realization=realizations[b], error=result.failure_reasons[b])
+            for b in np.flatnonzero(result.failed)
+        ]
         records: list[RealizationRecord] = []
-        errors: list[dict] = []
-        for b, r in enumerate(realizations):
-            if result.failed[b]:
-                errors.append(
-                    {"k_users": k_users, "realization": r, "error": result.failure_reasons[b]}
-                )
-                continue
-            active = result.active[b]
-            power = result.power[b]
-            sinr = result.sinr[b]
+        for b in kept:
             n_removed = len(result.removed[b])
-            rates = rate(sinr[active], gap, config.bandwidth)
-            sum_power = float(np.sum(power[active] + params.circuit_power))
-            ee = global_ee(
-                rates,
-                sinr[active],
-                power[active],
-                params,
-                extra_circuit_users=n_removed if config.count_removed_circuit_power else 0,
-            )
             stab = int(result.stabilized_iteration[b])
             records.append(
                 RealizationRecord(
                     k_users=k_users,
-                    realization=r,
+                    realization=realizations[b],
                     seed=seeds[b],
-                    sum_rate=float(np.sum(rates)),
-                    sum_power=sum_power,
-                    sum_power_incl_removed_circuit=sum_power + n_removed * params.circuit_power,
-                    global_ee=ee,
+                    sum_rate=float(sum_rate[b]),
+                    sum_power=float(sum_power[b]),
+                    sum_power_incl_removed_circuit=float(sum_power[b] + n_removed * circuit),
+                    global_ee=float(ee[b]),
                     outage_fraction=n_removed / k_users,
                     removed_count=n_removed,
                     removed_order=tuple(result.removed[b]),
@@ -374,7 +377,7 @@ def _run_chunk(config: ScenarioConfig, user_counts: list[int], realizations: lis
                     draw_checksum=scenario_checksum(scenarios[b]),
                 )
             )
-        chunk.append((k_users, records, errors, iterations))
+        chunk.append((k_users, records, errors, diagnostics))
     return chunk
 
 
@@ -410,11 +413,12 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
             outcomes = list(pool.map(run_chunk, tasks))
     else:
         outcomes = list(map(run_chunk, tasks))
-    for k_users, records, chunk_errors, (run, budget) in itertools.chain(*outcomes):
+    for k_users, records, chunk_errors, counters in itertools.chain(*outcomes):
         rows.extend(records)
         errors.extend(chunk_errors)
         entry = diagnostics.setdefault(str(k_users), {"verhulst_iterations": Counter()})
-        entry["verhulst_iterations"].update(run=run, budget=budget)
+        entry["verhulst_iterations"].update(counters.pop("verhulst_iterations"))
+        entry.update({name: entry.get(name, 0) + count for name, count in counters.items()})
 
     rows.sort(key=lambda row: (row.k_users, row.realization))
     errors.sort(key=lambda err: (err["k_users"], err.get("realization", -1)))

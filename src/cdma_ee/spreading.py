@@ -56,15 +56,19 @@ def generate_codes(
 
 
 def guarded_inverse(matrix: np.ndarray) -> np.ndarray:
-    """Dense inverse with a 1-norm condition estimate guard."""
+    """Dense inverse of one (k, k) matrix or a stack (..., k, k), with a 1-norm
+    condition estimate guard that refuses the whole stack for one bad matrix."""
     try:
         inverse = np.linalg.inv(matrix)
     except np.linalg.LinAlgError as exc:
         raise ReceiverUnavailableError(f"correlation matrix is singular: {exc}") from exc
-    cond = np.linalg.norm(matrix, 1) * np.linalg.norm(inverse, 1)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    # Each matrix's 1-norm, as np.linalg.norm(matrix, 1) takes it.
+    cond = np.ravel(np.abs(matrix).sum(axis=-2).max(axis=-1))
+    cond *= np.ravel(np.abs(inverse).sum(axis=-2).max(axis=-1))
+    if (refused := cond[~(cond <= CONDITION_LIMIT)]).size:  # NaN is refused too
         raise ReceiverUnavailableError(
-            f"correlation matrix too ill-conditioned (estimate {cond:.3e} > {CONDITION_LIMIT:.1e})"
+            f"correlation matrix too ill-conditioned"
+            f" (estimate {refused[0]:.3e} > {CONDITION_LIMIT:.1e})"
         )
     return inverse
 
@@ -117,16 +121,21 @@ def mf_sinr(power, gain_power, weights, noise_power: float):
 
 
 def dec_eff_interference(gain_power, correlation, active, noise_power: float) -> np.ndarray:
-    """Decorrelator effective interference of the active users of one realization.
+    """Decorrelator effective interference of the active users of a realization.
 
     The decorrelator D = S R^-1 of the active users nulls their MAI and scales
     the noise by d_k'd_k = [R^-1]_kk, so the result is
     ``noise_power * [R^-1]_kk / gain_power[..., k]`` over the active ``k``.
-    ``gain_power`` may stack several draws of the same users, (..., K).  The
+    ``gain_power`` may stack several draws of the same users, (..., K), over one
+    (K, K) ``correlation`` and (K,) ``active``; or B realizations with k active
+    users each, (B, K) over (B, K, K) and (B, K), for a (B, k) result.  The
     SINR is ``power / eff_interference``, whatever the other users transmit.
-    Raises ``ReceiverUnavailableError`` when R is singular or ill-conditioned.
+    Raises ``ReceiverUnavailableError`` when an R is singular or ill-conditioned.
     """
     _check_noise(noise_power)
     active = np.asarray(active, dtype=bool)
-    inverse = guarded_inverse(correlation[np.ix_(active, active)])
-    return noise_power * np.diagonal(inverse) / gain_power[..., active]
+    k = int(active.sum(axis=-1).max(initial=0))
+    pairs = active[..., :, None] & active[..., None, :]
+    inverse = guarded_inverse(correlation[pairs].reshape(*active.shape[:-1], k, k))
+    gains = gain_power[..., active] if active.ndim == 1 else gain_power[active].reshape(-1, k)
+    return noise_power * np.diagonal(inverse, axis1=-2, axis2=-1) / gains

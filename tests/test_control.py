@@ -319,6 +319,36 @@ def test_dec_refusal_after_a_removal_keeps_default_outputs(monkeypatch):
     assert_default_outputs(result, 0)
 
 
+@pytest.mark.parametrize("block_values", [control.DEC_BLOCK_VALUES, 40])
+def test_dec_stack_rows_match_single_runs(monkeypatch, fig_params, block_values):
+    # N = K = 4: singular and regular decorrelators share a block, and rows that remove
+    # users stack their survivors by active count (40 values: blocks of 2 rows at K = 4).
+    monkeypatch.setattr(control, "DEC_BLOCK_VALUES", block_values)
+    params = dataclasses.replace(fig_params, max_power=ce.dbm_to_watt(0.0))
+    scenarios = [
+        ce.draw_scenario(ce.RingGeometry(50.0, 2000.0), 4, 4, "dec", realization_seed(5, r))
+        for r in range(20)
+    ]
+    gain = np.stack([s.channel.gain_power for s in scenarios])
+    corr = np.stack([s.codes.correlation for s in scenarios])
+    batch = run_control_batch(gain, corr, "dec", "alg1", params, iterations=100)
+    assert 0 < batch.failed.sum() < 20
+    assert {len(removed) for removed in batch.removed} == {0, 2, 3, 4}
+    for b, scenario in enumerate(scenarios):
+        single = run_single(scenario, params, iterations=100)
+        for name in ("power", "sinr", "target_sinr", "eff_interference", "active", "rounds",
+                     "converged", "stabilized_iteration", "failed", "iterations_run"):
+            assert np.array_equal(getattr(single, name)[0], getattr(batch, name)[b]), name
+        assert single.removed[0] == batch.removed[b]
+        assert single.failure_reasons.get(0) == batch.failure_reasons.get(b)
+    # The regular rows alone give the same bytes: a refused row leaves its block-mates be.
+    regular = np.flatnonzero(~batch.failed)
+    alone = run_control_batch(gain[regular], corr[regular], "dec", "alg1", params, iterations=100)
+    assert not alone.failed.any()
+    assert np.array_equal(alone.power, batch.power[regular])
+    assert np.array_equal(alone.eff_interference, batch.eff_interference[regular])
+
+
 def test_dec_removal_never_raises_survivor_noise_enhancement():
     rng = np.random.default_rng(123)
     for _ in range(100):

@@ -17,6 +17,7 @@ from cdma_ee.harness import (
     paired_comparison,
     read_report,
     resolve_workers,
+    run_block,
     run_experiment,
 )
 
@@ -87,6 +88,8 @@ def test_config_hash_ignores_output_dir_and_workers():
     config = tiny_config()
     moved = dataclasses.replace(config, output_dir="elsewhere", workers=2)
     assert moved.config_hash() == config.config_hash()
+    renamed = dataclasses.replace(config, name="renamed")
+    assert renamed.config_hash() == config.config_hash()
     assert dataclasses.replace(config, seed=1).config_hash() != config.config_hash()
 
 
@@ -276,6 +279,77 @@ def test_metadata_counts_verhulst_iterations_per_k(tmp_path):
         rounds = sum(row.rounds for row in report.rows if row.k_users == int(k))
         assert counts["budget"] == rounds * config.iterations
         assert 0 < counts["run"] < counts["budget"]  # rows here leave their rounds early
+        assert entry["rounds"] == rounds
+        flagged = sum(row.target_flagged for row in report.rows if row.k_users == int(k))
+        assert entry["target_flagged"] == flagged
+
+
+# A 30 mW circuit power near the base station flags some solves, not all.
+NEAR = dict(geometry=ce.RingGeometry(1.0, 200.0), circuit_power=0.03, realizations=6)
+
+
+@pytest.mark.parametrize(
+    "overrides, refusals",
+    [
+        (NEAR, False),
+        (dict(NEAR, receiver="dec"), False),
+        # N = K = 4: about half the decorrelators are refused, row by row.
+        (dict(processing_gain=4, user_counts=(2, 4), realizations=20, receiver="dec"), True),
+    ],
+)
+def test_diagnostics_count_kept_rows_alike_serial_and_parallel(tmp_path, overrides, refusals):
+    serial = run_experiment(tiny_config(**overrides))
+    parallel = run_experiment(tiny_config(workers=2, **overrides))
+    assert serial.rows == parallel.rows and serial.errors == parallel.errors
+    emit_results(serial, tmp_path / "s")
+    emit_results(parallel, tmp_path / "p")
+    written = [json.loads((tmp_path / d / "metadata.json").read_text()) for d in "sp"]
+    assert written[0]["diagnostics"] == written[1]["diagnostics"]
+    assert written[0]["errors"] == written[1]["errors"]
+    for k, entry in written[0]["diagnostics"].items():
+        rows = [row for row in serial.rows if row.k_users == int(k)]
+        assert entry["rounds"] == sum(row.rounds for row in rows)
+        assert entry["target_flagged"] == sum(row.target_flagged for row in rows)
+    if refusals:
+        assert any("realization" in err for err in serial.errors)
+    else:
+        flagged = sum(entry["target_flagged"] for entry in written[0]["diagnostics"].values())
+        assert 0 < flagged < len(serial.rows)
+
+
+def test_grouped_metrics_equal_each_row_alone():
+    # DEC at N = 4 over a wide ring: rows keep all, some or none of their users.
+    config = tiny_config(
+        realizations=20,
+        processing_gain=4,
+        user_counts=(3, 4),
+        receiver="dec",
+        geometry=ce.RingGeometry(50.0, 2000.0),
+        max_power=1e-3,
+        iterations=100,
+        count_removed_circuit_power=True,
+    )
+    report = run_experiment(config)
+    records = {(row.k_users, row.realization): row for row in report.rows}
+    assert {row.removed_count == row.k_users for row in report.rows} == {True, False}
+    assert any(0 < row.removed_count < row.k_users for row in report.rows)
+    params = config.ee_params()
+    circuit = params.circuit_power
+    realizations = list(range(config.realizations))
+    for k_users, _, _, result in run_block(config, list(config.user_counts), realizations):
+        for b in np.flatnonzero(~result.failed):
+            row = records[k_users, b]
+            active = result.active[b]
+            sinr, power = result.sinr[b][active], result.power[b][active]
+            rates = ce.rate(sinr, params.gap(), config.bandwidth)
+            delivered = params.load_fraction * rates * ce.packet_success(sinr, params.packet_bits)
+            total = np.sum(power + circuit) + row.removed_count * circuit
+            assert row.sum_rate == float(np.sum(rates))
+            assert row.sum_power == float(np.sum(power + circuit))
+            assert row.sum_power_incl_removed_circuit == float(total)
+            assert row.global_ee == (float(np.sum(delivered) / total) if total > 0.0 else 0.0)
+            if not active.any():
+                assert row.global_ee == 0.0
 
 
 def test_workers_env_override(monkeypatch):

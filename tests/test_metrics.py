@@ -146,6 +146,23 @@ def test_global_ee_empty_and_removed_circuit(fig_params):
     assert kept == pytest.approx(base * ratio, rel=1e-12)
 
 
+def test_global_ee_row_wise_equals_each_row_alone(fig_params):
+    rng = np.random.default_rng(8)
+    gap = fig_params.gap()
+    for k in (0, 1, 3, 17):
+        sinrs = rng.uniform(0.5, 30.0, size=(6, k))
+        powers = rng.uniform(1e-6, 1e-2, size=(6, k))
+        rates = ce.rate(sinrs, gap, 1e6)
+        extra = np.arange(6)  # idle circuit-power terms, one count per row
+        rows = ce.global_ee(rates, sinrs, powers, fig_params, extra_circuit_users=extra)
+        for b in range(6):
+            alone = ce.global_ee(rates[b], sinrs[b], powers[b], fig_params, int(extra[b]))
+            assert isinstance(alone, float) and rows[b] == alone
+        assert np.array_equal(rates.sum(axis=1), [np.sum(rates[b]) for b in range(6)])
+    # Rows that lost every user: no power without idle circuits, hence an EE of 0.
+    assert ce.global_ee(rates[:, :0], sinrs[:, :0], powers[:, :0], fig_params).tolist() == [0.0] * 6
+
+
 def test_dbm_to_watt():
     assert ce.dbm_to_watt(-90.0) == pytest.approx(1e-12, rel=1e-12)
     assert ce.dbm_to_watt(10.0) == pytest.approx(1e-2, rel=1e-12)

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import cdma_ee as ce
-from cdma_ee.spreading import decorrelator_load_error, mf_mai_weights
+from cdma_ee.spreading import (
+    CONDITION_LIMIT,
+    decorrelator_load_error,
+    guarded_inverse,
+    mf_mai_weights,
+)
 
 from conftest import codes_from_signs
 
@@ -121,6 +126,55 @@ def test_decorrelator_condition_guard():
     signs = np.ones((8, 2), dtype=np.int64)
     with pytest.raises(ce.ReceiverUnavailableError):
         noise_enhancement(codes_from_signs(signs))
+
+
+def test_guarded_inverse_of_a_stack_checks_each_matrix():
+    # N = K = 4 draws: about half are singular or ill-conditioned, the rest regular.
+    stack = np.stack([ce.generate_codes(4, 4, seed).correlation for seed in range(40)])
+    refusals = {}
+    for i, matrix in enumerate(stack):
+        try:
+            single = guarded_inverse(matrix)
+        except ce.ReceiverUnavailableError as exc:
+            refusals[i] = str(exc)
+            continue
+        assert np.array_equal(guarded_inverse(matrix[None])[0], single)
+        cond = np.linalg.norm(matrix, 1) * np.linalg.norm(single, 1)
+        assert cond <= CONDITION_LIMIT
+    assert 0 < len(refusals) < len(stack)
+    assert {"correlation matrix is singular: Singular matrix"} < set(refusals.values())
+    regular = [i for i in range(len(stack)) if i not in refusals]
+    stacked = guarded_inverse(stack[regular])
+    for row, i in enumerate(regular):
+        assert np.array_equal(stacked[row], np.linalg.inv(stack[i]))
+    for i, reason in refusals.items():
+        with pytest.raises(ce.ReceiverUnavailableError, match="correlation matrix"):
+            guarded_inverse(stack[[regular[0], i]])
+        with pytest.raises(ce.ReceiverUnavailableError) as exc:
+            guarded_inverse(stack[i][None])
+        assert str(exc.value) == reason
+        if "singular" not in reason:  # the estimate np.linalg.norm gives, to the byte
+            cond = np.linalg.norm(stack[i], 1) * np.linalg.norm(np.linalg.inv(stack[i]), 1)
+            limit = f"(estimate {cond:.3e} > {CONDITION_LIMIT:.1e})"
+            assert reason == f"correlation matrix too ill-conditioned {limit}"
+
+
+def test_stacked_dec_interference_equals_each_row_alone():
+    # Rows with equal active counts, as the control loop stacks them after removals.
+    rng = np.random.default_rng(17)
+    gain = rng.uniform(1e-9, 1e-6, size=(30, 12))
+    corr = np.stack([ce.generate_codes(31, 12, rng).correlation for _ in range(30)])
+    active = np.ones((30, 12), dtype=bool)
+    for b in range(30):
+        active[b, rng.choice(12, size=b % 4, replace=False)] = False
+    counts = active.sum(axis=1)
+    for k in np.unique(counts):
+        rows = np.flatnonzero(counts == k)
+        stacked = ce.dec_eff_interference(gain[rows], corr[rows], active[rows], 1e-12)
+        assert stacked.shape == (rows.size, k)
+        for row, b in enumerate(rows):
+            alone = ce.dec_eff_interference(gain[b], corr[b], active[b], 1e-12)
+            assert np.array_equal(stacked[row], alone)
 
 
 def test_sinr_mf_single_user():
