@@ -50,14 +50,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="config file path or preset name")
     common.add_argument("--seed", type=int, help="override the master seed")
-    common.add_argument("--out", dest="output_dir", help="override the output directory")
     common.add_argument("--receiver", choices=RECEIVERS, help="override the receiver")
-    common.add_argument("--algorithm", choices=ALGORITHMS, help="override the algorithm")
 
     run = sub.add_parser("run", parents=[common], help="Monte Carlo sweep over user counts")
     run.add_argument("--realizations", type=int, help="override the realization count")
 
-    sub.add_parser("tradeoff", parents=[common], help="EE-SE trade-off power sweeps")
+    tradeoff = sub.add_parser("tradeoff", parents=[common], help="EE-SE trade-off power sweeps")
 
     compare = sub.add_parser("compare", help="paired comparison of two emitted runs")
     compare.add_argument("--a", required=True, help="first run directory")
@@ -68,6 +66,11 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", parents=[common], help="single-scenario debug dump")
     solve.add_argument("--k", type=int, help="user count (default: first of the sweep)")
     solve.add_argument("--realization", type=int, default=0, help="realization index")
+    # Each subcommand takes only the overrides it reads.
+    for command in (run, tradeoff):
+        command.add_argument("--out", dest="output_dir", help="override the output directory")
+    for command in (run, solve):
+        command.add_argument("--algorithm", choices=ALGORITHMS, help="override the algorithm")
     return parser
 
 
@@ -207,7 +210,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ReceiverUnavailableError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (ReceiverUnavailableError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

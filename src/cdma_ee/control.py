@@ -102,7 +102,7 @@ def _settled(sinr, prev_sinr):
 def _movement(before, after, noise):
     """Largest relative power movement of each row, floored at the noise power."""
     movement = np.abs(after - before) / np.maximum(before, noise)
-    return movement.max(axis=1) if before.shape[1] else np.zeros(before.shape[0])
+    return movement.max(axis=1)
 
 
 def _same_bytes(a, b):

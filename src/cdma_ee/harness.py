@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from statistics import NormalDist
-from typing import get_args, get_origin, get_type_hints
+from typing import ClassVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -106,8 +106,9 @@ class ScenarioConfig:
     min_rate: float = _key(5e5, RADIO, "min_rate_bps")
     alpha: float = _key(0.5, CONTROL)
     iterations: int = _key(500, CONTROL)
-    resolve_targets_each_iteration: bool = _key(True, CONTROL)
-    count_removed_circuit_power: bool = _key(False, CONTROL)
+    # Not config keys: constants that bench/checks.py still reads (lines 211, 241 and 261).
+    resolve_targets_each_iteration: ClassVar[bool] = True
+    count_removed_circuit_power: ClassVar[bool] = False
     interest_distance: float = _key(50.0, TRADEOFF, "interest_distance_m")
     interferer_distances: tuple[float, ...] = _key(
         (200.0, 100.0, 80.0), TRADEOFF, "interferer_distances_m"
@@ -312,7 +313,6 @@ def run_block(config: ScenarioConfig, user_counts: list[int], realizations: list
             config.ee_params(),
             iterations=config.iterations,
             alpha=config.alpha,
-            resolve_each_iteration=config.resolve_targets_each_iteration,
         )
 
 
@@ -348,8 +348,7 @@ def _run_chunk(config: ScenarioConfig, user_counts: list[int], realizations: lis
             rates = rate(sinr, gap, config.bandwidth)
             sum_rate[rows] = rates.sum(axis=1)
             sum_power[rows] = (power + circuit).sum(axis=1)
-            extra = k_users - k if config.count_removed_circuit_power else 0  # removed users
-            ee[rows] = global_ee(rates, sinr, power, params, extra_circuit_users=extra)
+            ee[rows] = global_ee(rates, sinr, power, params)
         errors = [
             dict(k_users=k_users, realization=realizations[b], error=result.failure_reasons[b])
             for b in np.flatnonzero(result.failed)
@@ -696,8 +695,6 @@ def _coerce(value, hint, path: str):
         if not isinstance(value, (list, tuple, range)):
             raise ConfigurationError(f"{path} must be a list, got {value!r}")
         return tuple(_coerce(v, item, path) for v in value)
-    if hint is bool and not isinstance(value, bool):
-        raise ConfigurationError(f"{path} must be true or false, got {value!r}")
     if (hint in (int, float) and isinstance(value, bool)) or (
         hint is int and isinstance(value, float) and not value.is_integer()
     ):  # int() and float() would turn true into 1, int() truncates 2.7 to 2
@@ -793,16 +790,18 @@ def load_config_data(path: str | Path) -> dict:
 
 
 def expand_variants(data: dict) -> list[tuple[str, dict]]:
-    """Expand the optional ``variants`` list into per-variant documents."""
-    variants = data.get("variants")
+    """Expand the optional ``variants`` list into per-variant documents, one per name."""
+    variants = data.get("variants", [])
+    if not isinstance(variants, list):
+        raise ConfigurationError(f"variants must be a list, got {variants!r}")
     base = {k: v for k, v in data.items() if k != "variants"}
-    if not variants:
-        return [(str(base.get("name", "run")), base)]
-    expanded = []
-    for entry in variants:
-        label = str(entry.get("name", f"variant{len(expanded)}"))
+    expanded = {}
+    for index, entry in enumerate(variants or [{"name": base.get("name", "run")}]):
+        if not isinstance(entry, dict):
+            raise ConfigurationError(f"variants[{index}] must be a mapping, got {entry!r}")
+        label = str(entry.get("name", f"variant{index}"))
+        if label in expanded:
+            raise ConfigurationError(f"variants[{index}] repeats the name {label!r}")
         override = {k: v for k, v in entry.items() if k != "name"}
-        merged = _merge_dicts(base, override)
-        merged["name"] = label
-        expanded.append((label, merged))
-    return expanded
+        expanded[label] = {**_merge_dicts(base, override), "name": label}
+    return list(expanded.items())

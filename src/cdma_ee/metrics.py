@@ -102,19 +102,16 @@ def utility(power, sinr, params: EEParams, gap) -> float | np.ndarray:
     )
 
 
-def global_ee(rates, sinrs, powers, params: EEParams, extra_circuit_users=0):
+def global_ee(rates, sinrs, powers, params: EEParams):
     """Network energy efficiency: delivered information rate over total power.
 
     Row-wise over the last axis: the vectors, (..., k), cover each network's
     *active* users only; a removed user contributes neither rate nor power.
-    ``extra_circuit_users``, a count or one per row, adds that many idle
-    circuit-power terms to the denominator (the alternative accounting kept
-    behind a config switch).  A network without power has an EE of 0.
+    A network without power has an EE of 0.
     """
     rates = np.asarray(rates, dtype=float)
     delivered = params.load_fraction * rates * packet_success(sinrs, params.packet_bits)
     total_power = np.sum(np.asarray(powers, dtype=float) + params.circuit_power, axis=-1)
-    total_power += np.multiply(extra_circuit_users, params.circuit_power)
     ee = np.zeros(total_power.shape)
     np.divide(np.sum(delivered, axis=-1), total_power, out=ee, where=~(total_power <= 0.0))
     return ee if ee.ndim else float(ee)

@@ -106,6 +106,36 @@ def test_run_variants_make_subdirectories(tmp_path):
     assert (tmp_path / "out/b0/raw.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "variants, named",
+    [
+        (["alg1"], "variants[0] must be a mapping, got 'alg1'"),
+        (5, "variants must be a list, got 5"),
+        ([{"name": "a1"}, {"name": "a1", "system": {"algorithm": "baseline"}}],
+         "variants[1] repeats the name 'a1'"),
+    ],
+    ids=["entry_not_mapping", "not_a_list", "repeated_name"],
+)
+def test_malformed_variants_exit_with_config_code(tmp_path, capsys, variants, named):
+    config = write_config(tmp_path, variants=variants)
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and named in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag", [("solve", ["--out", "elsewhere"]), ("tradeoff", ["--algorithm", "alg2"])]
+)
+def test_overrides_a_subcommand_does_not_read_are_refused(tmp_path, capsys, command, flag):
+    config = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(config), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_tradeoff_subcommand(tmp_path):
     config = write_config(tmp_path, system={"fading": "none"})
     assert main(["tradeoff", "--config", str(config)]) == 0
@@ -234,7 +264,8 @@ def test_preset_configs_are_reachable(tmp_path):
         ({"radio": {"min_rate_bp": 5e5}}, "radio.min_rate_bp"),
         ({"control": {"iteration": 10}}, "control.iteration"),
         ({"system": {"recevier": "dec"}}, "system.recevier"),
-        ({"control": {"resolve_targets_each_iteration": "false"}}, "control.resolve_targets"),
+        ({"control": {"resolve_targets_each_iteration": True}},
+         "unknown config key(s): control.resolve_targets_each_iteration"),
         ({"radio": {"max_power_dbm": 10.0, "max_power_w": 0.01}}, "radio.max_power_w"),
         ({"system": 5}, "system"),
         ({"radio": {"info_bits": 90}}, "info_bits"),
@@ -265,6 +296,8 @@ def test_preset_configs_are_reachable(tmp_path):
          "system.geometry: all distances must be positive"),
         ({"tradeoff": {"interferer_distances_m": []}},
          "tradeoff.interferer_distances_m must not be empty"),
+        ({"control": {"count_removed_circuit_power": False}},
+         "unknown config key(s): control.count_removed_circuit_power"),
     ],
 )
 def test_bad_config_exits_with_config_code(tmp_path, capsys, overrides, named):
@@ -289,6 +322,11 @@ def _edit_config(run_dir, edit):
 def _power_in_dbm(config):
     config["radio"]["noise_power_dbm"] = -90.0
     del config["radio"]["noise_power_w"]
+
+
+def _set_removed_key(key, value):
+    """An echo edit that sets a control key the config schema no longer has."""
+    return lambda config: config["control"].update({key: value})
 
 
 def _add_error_without_k(run_dir):
@@ -317,9 +355,13 @@ def _set_raw_cell(run_dir, row, column, value):
         (_add_error_without_k, "metadata.json", '"errors" entry'),
         (lambda d: _edit_config(d, lambda c: c["radio"].pop("ber")), "metadata.json", "radio.ber"),
         (lambda d: _edit_config(d, _power_in_dbm), "metadata.json", "radio.noise_power_dbm"),
+        (lambda d: _edit_config(d, _set_removed_key("resolve_targets_each_iteration", True)),
+         "metadata.json", "unknown config key(s): control.resolve_targets_each_iteration"),
+        (lambda d: _edit_config(d, _set_removed_key("count_removed_circuit_power", False)),
+         "metadata.json", "unknown config key(s): control.count_removed_circuit_power"),
     ],
     ids=["renamed_column", "no_config", "converged_yes", "error_without_k", "echo_without_ber",
-         "echo_in_dbm"],
+         "echo_in_dbm", "echo_with_resolve_targets", "echo_with_removed_circuit"],
 )
 def test_compare_rejects_malformed_run(tmp_path, capsys, damage, file, named):
     assert main(["run", "--config", str(write_config(tmp_path)), "--realizations", "1"]) == 0

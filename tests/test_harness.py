@@ -327,7 +327,6 @@ def test_grouped_metrics_equal_each_row_alone():
         geometry=ce.RingGeometry(50.0, 2000.0),
         max_power=1e-3,
         iterations=100,
-        count_removed_circuit_power=True,
     )
     report = run_experiment(config)
     records = {(row.k_users, row.realization): row for row in report.rows}
@@ -343,10 +342,10 @@ def test_grouped_metrics_equal_each_row_alone():
             sinr, power = result.sinr[b][active], result.power[b][active]
             rates = ce.rate(sinr, params.gap(), config.bandwidth)
             delivered = params.load_fraction * rates * ce.packet_success(sinr, params.packet_bits)
-            total = np.sum(power + circuit) + row.removed_count * circuit
+            total = np.sum(power + circuit)
             assert row.sum_rate == float(np.sum(rates))
-            assert row.sum_power == float(np.sum(power + circuit))
-            assert row.sum_power_incl_removed_circuit == float(total)
+            assert row.sum_power == float(total)
+            assert row.sum_power_incl_removed_circuit == float(total + row.removed_count * circuit)
             assert row.global_ee == (float(np.sum(delivered) / total) if total > 0.0 else 0.0)
             if not active.any():
                 assert row.global_ee == 0.0

@@ -137,13 +137,6 @@ def test_global_ee_mixed_users_hand_computed(fig_params):
 
 def test_global_ee_empty_and_removed_circuit(fig_params):
     assert ce.global_ee([], [], [], fig_params) == 0.0
-    gap = fig_params.gap()
-    rate = ce.rate(8.0, gap, 1e6)
-    base = ce.global_ee([rate], [8.0], [2e-3], fig_params)
-    kept = ce.global_ee([rate], [8.0], [2e-3], fig_params, extra_circuit_users=2)
-    assert kept < base
-    ratio = (2e-3 + fig_params.circuit_power) / (2e-3 + 3 * fig_params.circuit_power)
-    assert kept == pytest.approx(base * ratio, rel=1e-12)
 
 
 def test_global_ee_row_wise_equals_each_row_alone(fig_params):
@@ -153,13 +146,12 @@ def test_global_ee_row_wise_equals_each_row_alone(fig_params):
         sinrs = rng.uniform(0.5, 30.0, size=(6, k))
         powers = rng.uniform(1e-6, 1e-2, size=(6, k))
         rates = ce.rate(sinrs, gap, 1e6)
-        extra = np.arange(6)  # idle circuit-power terms, one count per row
-        rows = ce.global_ee(rates, sinrs, powers, fig_params, extra_circuit_users=extra)
+        rows = ce.global_ee(rates, sinrs, powers, fig_params)
         for b in range(6):
-            alone = ce.global_ee(rates[b], sinrs[b], powers[b], fig_params, int(extra[b]))
+            alone = ce.global_ee(rates[b], sinrs[b], powers[b], fig_params)
             assert isinstance(alone, float) and rows[b] == alone
         assert np.array_equal(rates.sum(axis=1), [np.sum(rates[b]) for b in range(6)])
-    # Rows that lost every user: no power without idle circuits, hence an EE of 0.
+    # Rows that lost every user: no power, hence an EE of 0.
     assert ce.global_ee(rates[:, :0], sinrs[:, :0], powers[:, :0], fig_params).tolist() == [0.0] * 6
 
 
