@@ -22,14 +22,15 @@ there on, so it runs on only to the step at the last iteration's phase of the
 cycle and leaves there.
 
 The loop is written over batches of same-sized realizations.  All maths is
-element-wise or per-row, so each realization's trajectory, and the iteration
-at which it stops, is bit-identical no matter how realizations are grouped
-into batches or split across workers.
+element-wise or per-row (the one sum over users, the matched-filter MAI, runs
+at ``mf_width``), so each realization's trajectory, and the iteration at
+which it stops, is bit-identical no matter how realizations are grouped into
+batches or split across workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,6 +54,8 @@ SINR_STABLE_REL_TOL = 1e-6
 REPEAT_WINDOW = 16
 # Matrix entries per stacked decorrelator inverse; bounds the stack and its temporaries.
 DEC_BLOCK_VALUES = 1 << 15
+# Matched-filter MAI sums run over a multiple of this many users (see mf_width).
+MF_WIDTH_STEP = 8
 
 
 @dataclass
@@ -72,6 +75,28 @@ class BatchControlResult:
     failed: np.ndarray
     iterations_run: np.ndarray  # Verhulst iterations each row ran, over all rounds
     failure_reasons: dict[int, str] = field(default_factory=dict)
+
+    def part(self, rows: slice, users: int) -> BatchControlResult:
+        """The outcome of ``rows`` (a slice with a start and a stop) over their first ``users``."""
+        values = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "failure_reasons":
+                value = {b - rows.start: why for b, why in value.items() if rows.start <= b < rows.stop}
+            else:
+                value = value[rows]
+                if isinstance(value, np.ndarray) and value.ndim == 2:
+                    value = value[:, :users]
+            values[f.name] = value
+        return BatchControlResult(**values)
+
+
+def mf_width(users: int) -> int:
+    """Users a matched-filter batch of ``users`` sums its MAI over, with zero
+    weights past its users: NumPy's sum over a row of K users has the same
+    bytes at every zero-padded width from ``8 * ceil(K / 8)`` up, so a row
+    gives the same values in a batch of K users and in one of more."""
+    return -(-users // MF_WIDTH_STEP) * MF_WIDTH_STEP
 
 
 def verhulst_step(power, sinr, target_sinr, alpha, max_power):
@@ -251,10 +276,13 @@ def run_control_batch(
     initial_power: np.ndarray | None = None,
     resolve_each_iteration: bool = True,
     trajectory: list | None = None,
+    active: np.ndarray | None = None,
 ) -> BatchControlResult:
     """Run one scheme over a batch of same-sized realizations.
 
-    ``gain_power`` is (B, K) and ``correlation`` (B, K, K).  Realizations whose
+    ``gain_power`` is (B, K) and ``correlation`` (B, K, K).  ``active`` (B, K)
+    marks the users each row starts with (default: all); the others count as
+    removed from the start, though not in ``removed``.  Realizations whose
     decorrelator cannot be built are marked in ``failed`` instead of aborting
     the batch.  Each row's outputs are those of its last round, the first with
     no removal; a refused row, and a row that lost every user, keeps zero
@@ -277,14 +305,20 @@ def run_control_batch(
     correlation = np.asarray(correlation, dtype=float)
     if correlation.shape != (batch, users, users):
         raise ConfigurationError("correlation must have shape (batch, users, users)")
-    weights = mf_mai_weights(correlation) if receiver == "mf" else None
+    # A copy of the caller's mask: removals clear its entries.
+    active = np.ones((batch, users), dtype=bool) if active is None else np.array(active, dtype=bool)
+    if active.shape != (batch, users):
+        raise ConfigurationError("active must have shape (batch, users)")
+    weights = None
+    if receiver == "mf":
+        weights = np.zeros((batch, users, mf_width(users)))
+        weights[..., :users] = mf_mai_weights(correlation)
     base_power = (
         np.full((batch, users), params.noise_power)
         if initial_power is None
         else np.broadcast_to(np.asarray(initial_power, dtype=float), (batch, users))
     )
 
-    active = np.ones((batch, users), dtype=bool)
     removed: list[list[int]] = [[] for _ in range(batch)]
     rounds = np.zeros(batch, dtype=int)
     iterations_run = np.zeros(batch, dtype=int)

@@ -3,7 +3,8 @@
 A run sweeps the user count K over realizations.  ``run_block`` draws each
 realization r of a block once, at the largest K, from the substream
 ``seed + r``; each K runs on the first K users of that draw, which equal a
-fresh draw at K (see ``seeding``).  ``run`` and ``solve`` both go through it.
+fresh draw at K (see ``seeding``).  Under the matched filter every K of a
+block runs in one control batch.  ``run`` and ``solve`` both go through it.
 Two runs with equal seeds that differ only in algorithm or receiver therefore
 consume identical draws, and their metrics compare as paired samples.  Blocks
 of realizations are independent work units; results are sorted by
@@ -22,11 +23,12 @@ import itertools
 import json
 import math
 import os
+import platform
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
-from pathlib import Path
+from pathlib import Path, PurePath
 from statistics import NormalDist
 from typing import ClassVar, get_args, get_origin, get_type_hints
 
@@ -35,7 +37,7 @@ import yaml
 
 from . import __version__
 from .channel import FADING_KINDS, FixedGeometry, Geometry, RingGeometry, draw_placement
-from .control import ALGORITHMS, run_control_batch
+from .control import ALGORITHMS, mf_width, run_control_batch
 from .errors import ConfigurationError
 from .metrics import EEParams, dbm_to_watt, global_ee, rate
 from .scenario import RECEIVERS, draw_scenario, scenario_checksum
@@ -43,6 +45,8 @@ from .seeding import realization_seed
 from .spreading import decorrelator_load_error
 
 WORKERS_ENV_VAR = "CDMA_EE_WORKERS"
+# MAI weight entries a block's matched-filter control batch may hold; more cut the run into blocks.
+MF_BATCH_VALUES = 1 << 20
 
 METRIC_FIELDS = {
     "sum_rate": "sum_rate",
@@ -252,6 +256,8 @@ class RunReport:
     version: str = __version__
     # Per-K counters of the kept rows by str(K): verhulst_iterations, rounds, target_flagged.
     diagnostics: dict = field(default_factory=dict)
+    # Software and host of the run (see ``run_environment``); no table reads it.
+    environment: dict = field(default_factory=dict)
 
 
 def aggregate_rows(rows: list[RealizationRecord], errors: list[dict]) -> list[dict]:
@@ -280,10 +286,13 @@ def run_block(config: ScenarioConfig, user_counts: list[int], realizations: list
 
     Refuses (``ConfigurationError``) a K that the receiver or a fixed geometry
     cannot take, before any draw.  Each realization is drawn at the largest of
-    ``user_counts``, and each K runs the whole block as one batch on the first
-    K users of every draw.  This relies on the prefix property of the draws
-    (see ``seeding``): those users' draws are the ones a fresh draw at K gives.
-    Yields ``(K, seeds, scenarios, result)`` per K in ``user_counts`` order.
+    ``user_counts``, and each K runs on the first K users of every draw.  This
+    relies on the prefix property of the draws (see ``seeding``): those users'
+    draws are the ones a fresh draw at K gives.  Under the matched filter
+    every K runs in one control batch, whose rows are (K, realization) pairs
+    on those draws, each starting with its first K users active; under the
+    decorrelator each K runs as its own batch.  Yields ``(K, seeds,
+    scenarios, result)`` per K in ``user_counts`` order.
     """
     for k_users in user_counts:
         if reason := _refusal(config, k_users):
@@ -303,17 +312,22 @@ def run_block(config: ScenarioConfig, user_counts: list[int], realizations: list
         )
         for seed in seeds
     ]
-    for k_users in user_counts:
-        scenarios = [draw.first_users(k_users) for draw in draws]
-        yield k_users, seeds, scenarios, run_control_batch(
-            np.stack([s.channel.gain_power for s in scenarios]),
-            np.stack([s.codes.correlation for s in scenarios]),
+    params, size = config.ee_params(), len(draws)
+    for group in [user_counts] if config.receiver == "mf" else [[k] for k in user_counts]:
+        width = max(group)
+        result = run_control_batch(
+            np.stack([draw.channel.gain_power[:width] for _ in group for draw in draws]),
+            np.stack([draw.codes.correlation[:width, :width] for _ in group for draw in draws]),
             config.receiver,
             config.algorithm,
-            config.ee_params(),
+            params,
             iterations=config.iterations,
             alpha=config.alpha,
+            active=np.arange(width) < np.repeat(group, size)[:, None],
         )
+        for i, k_users in enumerate(group):
+            scenarios = [draw.first_users(k_users) for draw in draws]
+            yield k_users, seeds, scenarios, result.part(slice(i * size, (i + 1) * size), k_users)
 
 
 def _run_chunk(config: ScenarioConfig, user_counts: list[int], realizations: list[int]):
@@ -391,6 +405,17 @@ def resolve_workers(config_workers: int) -> int:
     return config_workers
 
 
+def run_environment(workers: int) -> dict:
+    """Python, NumPy and BLAS versions (BLAS None where NumPy does not report
+    it), the host's CPU count and the ``workers`` that ran the blocks."""
+    try:  # NumPy before 1.25 has no mode="dicts"
+        blas = "{name} {version}".format(**np.show_config(mode="dicts")["Build Dependencies"]["blas"])
+    except (TypeError, KeyError):
+        blas = None
+    python, numpy, cpu_count = platform.python_version(), np.__version__, os.cpu_count()
+    return dict(python=python, numpy=numpy, blas=blas, cpu_count=cpu_count, workers=workers)
+
+
 def run_experiment(config: ScenarioConfig) -> RunReport:
     """Run the configured algorithm over the K sweep and all realizations."""
     errors: list[dict] = []
@@ -401,7 +426,12 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
         else:
             user_counts.append(k_users)
     workers = resolve_workers(config.workers)
-    splits = np.array_split(range(config.realizations), max(workers, 1)) if user_counts else []
+    blocks = max(workers, 1)
+    if config.receiver == "mf" and user_counts:  # see MF_BATCH_VALUES
+        k_max = max(user_counts)
+        values = config.realizations * len(user_counts) * k_max * mf_width(k_max)
+        blocks = max(blocks, -(-values // MF_BATCH_VALUES))
+    splits = np.array_split(range(config.realizations), blocks) if user_counts else []
     tasks = [split.tolist() for split in splits if len(split)]
 
     rows: list[RealizationRecord] = []
@@ -427,6 +457,7 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
         aggregates=aggregate_rows(rows, errors),
         errors=errors,
         diagnostics=diagnostics,
+        environment=run_environment(min(max(workers, 1), max(len(tasks), 1))),
     )
 
 
@@ -578,6 +609,7 @@ def emit_results(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
         "draw_checksums": {k: v.hexdigest()[:16] for k, v in checksums.items()},
         "errors": report.errors,
         "diagnostics": report.diagnostics,
+        "environment": report.environment,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     raw = ([getattr(row, name) for _, name, _ in _RAW_SCHEMA] for row in report.rows)
@@ -640,6 +672,7 @@ def read_report(run_dir: str | Path) -> RunReport:
         errors=errors,
         version=metadata.get("version", __version__),
         diagnostics=metadata.get("diagnostics", {}),
+        environment=metadata.get("environment", {}),
     )
 
 
@@ -800,6 +833,11 @@ def expand_variants(data: dict) -> list[tuple[str, dict]]:
         if not isinstance(entry, dict):
             raise ConfigurationError(f"variants[{index}] must be a mapping, got {entry!r}")
         label = str(entry.get("name", f"variant{index}"))
+        # A variant's name names its directory under output_dir.
+        if variants and (PurePath(label).parts != (label,) or label in (".", "..")):
+            raise ConfigurationError(
+                f"variants[{index}].name must be one plain path component, got {label!r}"
+            )
         if label in expanded:
             raise ConfigurationError(f"variants[{index}] repeats the name {label!r}")
         override = {k: v for k, v in entry.items() if k != "name"}

@@ -76,14 +76,15 @@ class EEParams:
             raise ValueError("max_power, noise_power and bandwidth must be positive")
         if self.min_rate < 0.0:
             raise ValueError("min_rate must be >= 0")
-        sinr_gap(self.ber)  # validates the BER range
+        # Validates the BER range; solved once here, as every solve reads it.
+        object.__setattr__(self, "_gap", sinr_gap(self.ber))
 
     @property
     def load_fraction(self) -> float:
         return self.info_bits / self.packet_bits
 
     def gap(self) -> float:
-        return sinr_gap(self.ber)
+        return self._gap
 
 
 def utility(power, sinr, params: EEParams, gap) -> float | np.ndarray:

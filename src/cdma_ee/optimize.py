@@ -36,21 +36,28 @@ def _stationarity(sinr, gap, packet_bits, cost_ratio, with_derivative=True):
     positive where the utility still rises with SINR and negative past the
     maximum.
     """
-    decay = np.exp(-sinr)
-    success1 = -np.expm1(-sinr)  # 1 - e^(-s)
-    scaled = 1.0 + gap * sinr
-    se = np.log1p(gap * sinr) / LN2
+    # Shared terms are computed once; IEEE products commute exactly, so the
+    # values equal those of writing each term out in place.
+    negative = -sinr
+    decay = np.exp(negative)
+    success1 = -np.expm1(negative)  # 1 - e^(-s)
+    gap_sinr = gap * sinr
+    scaled = 1.0 + gap_sinr
+    se = np.log1p(gap_sinr) / LN2
     se_slope = gap / (scaled * LN2)
     denom = sinr + cost_ratio
-    residual = packet_bits * decay * se + success1 * se_slope - se * success1 / denom
+    delivered = packet_bits * decay * se
+    slope_term = success1 * se_slope
+    cost_term = se * success1
+    residual = delivered + slope_term - cost_term / denom
     if not with_derivative:
         return residual, None
     derivative = (
         decay * se_slope * (packet_bits + 1.0)
-        - packet_bits * decay * se
+        - delivered
         - success1 * gap * gap / (scaled * scaled * LN2)
-        - (se_slope * success1 + se * decay) / denom
-        + se * success1 / (denom * denom)
+        - (slope_term + se * decay) / denom
+        + cost_term / (denom * denom)
     )
     return residual, derivative
 
@@ -135,32 +142,32 @@ def solve_optimal_sinr_batch(
     idx = np.flatnonzero(~no_interior)
     x_w, lo_w, hi_w = x[idx].copy(), lo[idx].copy(), hi[idx].copy()
     rho_w = cost_ratio[idx]
-    for _ in range(MAX_STEPS):
-        if idx.size == 0:
-            break
-        residual, derivative = _stationarity(x_w, gap, packet_bits, rho_w)
-        positive = residual > 0.0
-        lo_w = np.where(positive, x_w, lo_w)
-        hi_w = np.where(positive, hi_w, x_w)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = x_w - residual / derivative
-        inside = np.isfinite(newton) & (newton > lo_w) & (newton < hi_w)
-        # Near the root the Newton step length bounds the remaining error, so
-        # a tiny step terminates without waiting for the bracket, even a
-        # zero-length one from a guess already on the root, which the strict
-        # bracket test would reject.  A NaN or infinite step compares false.
-        small_step = np.abs(newton - x_w) <= SINR_ABS_TOL
-        narrow = (hi_w - lo_w) <= SINR_ABS_TOL
-        finished = narrow | small_step
-        if finished.any():
-            done = np.where(small_step, np.clip(newton, lo_w, hi_w), 0.5 * (lo_w + hi_w))
-            x[idx[finished]] = done[finished]
-            keep = ~finished
-            idx, x_w, lo_w, hi_w = idx[keep], x_w[keep], lo_w[keep], hi_w[keep]
-            rho_w, newton, inside = rho_w[keep], newton[keep], inside[keep]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero derivative gives a NaN step
+        for _ in range(MAX_STEPS):
             if idx.size == 0:
                 break
-        x_w = np.where(inside, newton, 0.5 * (lo_w + hi_w))
+            residual, derivative = _stationarity(x_w, gap, packet_bits, rho_w)
+            positive = residual > 0.0
+            lo_w = np.where(positive, x_w, lo_w)
+            hi_w = np.where(positive, hi_w, x_w)
+            newton = x_w - residual / derivative
+            inside = np.isfinite(newton) & (newton > lo_w) & (newton < hi_w)
+            # Near the root the Newton step length bounds the remaining error, so
+            # a tiny step terminates without waiting for the bracket, even a
+            # zero-length one from a guess already on the root, which the strict
+            # bracket test would reject.  A NaN or infinite step compares false.
+            small_step = np.abs(newton - x_w) <= SINR_ABS_TOL
+            narrow = (hi_w - lo_w) <= SINR_ABS_TOL
+            finished = narrow | small_step
+            if finished.any():
+                done = np.where(small_step, np.clip(newton, lo_w, hi_w), 0.5 * (lo_w + hi_w))
+                x[idx[finished]] = done[finished]
+                keep = ~finished
+                idx, x_w, lo_w, hi_w = idx[keep], x_w[keep], lo_w[keep], hi_w[keep]
+                rho_w, newton, inside = rho_w[keep], newton[keep], inside[keep]
+                if idx.size == 0:
+                    break
+            x_w = np.where(inside, newton, 0.5 * (lo_w + hi_w))
     if idx.size:
         x[idx] = 0.5 * (lo_w + hi_w)
     return x.reshape(shape), no_interior.reshape(shape)

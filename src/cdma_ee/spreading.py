@@ -107,15 +107,19 @@ def mf_sinr(power, gain_power, weights, noise_power: float):
     """Matched-filter SINR and effective interference of a batch of realizations.
 
     ``power`` and ``gain_power`` are (B, K) and ``weights`` the (B, K, K) MAI
-    weights of ``mf_mai_weights``.  The SINR is the own received power over
-    MAI plus noise; the effective interference is that denominator over the
-    own gain.  Every row is computed on its own, so a realization's values do
-    not depend on what else is in the batch.
+    weights of ``mf_mai_weights``, or those weights followed by zero columns,
+    (B, K, W): the MAI then sums over W users, the received powers padded with
+    zeros.  The SINR is the own received power over MAI plus noise; the
+    effective interference is that denominator over the own gain.  Every row
+    is computed on its own, so a realization's values do not depend on what
+    else is in the batch.
     """
     power = _check_powers(power)
     _check_noise(noise_power)
-    received = power * gain_power
-    mai = np.einsum("bkj,bj->bk", weights, received)
+    received = padded = power * gain_power
+    if (pad := weights.shape[-1] - received.shape[-1]) > 0:
+        padded = np.concatenate((received, np.zeros((*received.shape[:-1], pad))), axis=-1)
+    mai = np.einsum("bkj,bj->bk", weights, padded)
     denominator = mai + noise_power
     return received / denominator, denominator / gain_power
 

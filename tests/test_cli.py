@@ -124,6 +124,21 @@ def test_malformed_variants_exit_with_config_code(tmp_path, capsys, variants, na
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name", ["../../escaped", "a/b", "/abs", "..", ".", "", "a/"])
+def test_variant_names_outside_one_path_component_exit_with_config_code(tmp_path, capsys, name):
+    # A variant writes under output_dir/<name>, so its name must not climb out of it.
+    (tmp_path / "deep/er").mkdir(parents=True)
+    config = write_config(
+        tmp_path,
+        output_dir=str(tmp_path / "deep/er/out"),
+        variants=[{"name": "ok"}, {"name": name, "system": {"algorithm": "baseline"}}],
+    )
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"variants[1].name must be one plain path component, got {name!r}" in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.yaml", "deep", "er"]
+
+
 @pytest.mark.parametrize(
     "command, flag", [("solve", ["--out", "elsewhere"]), ("tradeoff", ["--algorithm", "alg2"])]
 )

@@ -349,6 +349,98 @@ def test_dec_stack_rows_match_single_runs(monkeypatch, fig_params, block_values)
     assert np.array_equal(alone.eff_interference, batch.eff_interference[regular])
 
 
+def _assert_same_result(actual, expected):
+    """Two results hold the same bytes in every field."""
+    for f in dataclasses.fields(expected):
+        a, e = getattr(actual, f.name), getattr(expected, f.name)
+        if isinstance(e, np.ndarray):
+            assert a.shape == e.shape and a.dtype == e.dtype, f.name
+            assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(e).tobytes(), f.name
+        else:
+            assert a == e, f.name
+
+
+@pytest.mark.parametrize("receiver", ["mf", "dec"])
+@pytest.mark.parametrize("k", [3, 5, 12])
+def test_rows_started_on_their_first_users_equal_the_k_column_run(fig_params, receiver, k):
+    # 12-user draws (16 padded users under MF), each row started with its first K users
+    # active, against the same draws cut to K columns: outputs and trajectory alike.
+    params = dataclasses.replace(fig_params, max_power=ce.dbm_to_watt(0.0))
+    scenarios = [
+        ce.draw_scenario(ce.RingGeometry(50.0, 200.0), 12, 63, receiver, realization_seed(9, r))
+        for r in range(5)
+    ]
+    gain = np.stack([s.channel.gain_power for s in scenarios])
+    corr = np.stack([s.codes.correlation for s in scenarios])
+    first = np.arange(12) < k
+    for iterations in (150, 500):
+        started_path, alone_path = [], []
+        started = run_control_batch(
+            gain, corr, receiver, "alg1", params, iterations=iterations,
+            active=np.tile(first, (5, 1)),
+        )
+        alone = run_control_batch(
+            gain[:, :k], corr[:, :k, :k], receiver, "alg1", params, iterations=iterations
+        )
+        _assert_same_result(started.part(slice(0, 5), k), alone)
+        assert not started.power[:, k:].any() and not started.active[:, k:].any()
+        for path, batch_gain, batch_corr, mask in (
+            (started_path, gain, corr, np.tile(first, (5, 1))),
+            (alone_path, gain[:, :k], corr[:, :k, :k], None),
+        ):
+            run_control_batch(
+                batch_gain, batch_corr, receiver, "alg1", params, iterations=iterations,
+                trajectory=path, active=mask,
+            )
+        assert len(started_path) == len(alone_path) > iterations  # alg1 removes users here
+        for step, alone_step in zip(started_path, alone_path):
+            assert step.shape[1] == 12 and not step[:, k:].any()
+            assert step[:, :k].tobytes() == alone_step.tobytes()
+
+
+def test_rows_of_different_k_in_one_batch_equal_each_run_alone(fig_params):
+    # The harness's matched-filter batch: rows of K = 2 to 12 on 12-user draws.
+    scenarios = [
+        ce.draw_scenario(ce.RingGeometry(50.0, 200.0), 12, 63, "mf", realization_seed(4, r))
+        for r in range(8)
+    ]
+    gain = np.stack([s.channel.gain_power for s in scenarios])
+    corr = np.stack([s.codes.correlation for s in scenarios])
+    row_users = np.array([2, 5, 6, 7, 12, 11, 3, 9])
+    batch = run_control_batch(
+        gain, corr, "mf", "alg1", fig_params, active=np.arange(12) < row_users[:, None]
+    )
+    for b, k in enumerate(row_users):
+        alone = run_control_batch(gain[b : b + 1, :k], corr[b : b + 1, :k, :k], "mf", "alg1", fig_params)
+        _assert_same_result(batch.part(slice(b, b + 1), k), alone)
+
+
+def test_result_part_keeps_the_rows_and_users_it_names(fig_params):
+    # N = K = 4 DEC: refused rows, whose reasons are keyed by their row in the part.
+    scenarios = [
+        ce.draw_scenario(ce.RingGeometry(50.0, 2000.0), 4, 4, "dec", realization_seed(5, r))
+        for r in range(20)
+    ]
+    gain = np.stack([s.channel.gain_power for s in scenarios])
+    corr = np.stack([s.codes.correlation for s in scenarios])
+    whole = run_control_batch(gain, corr, "dec", "alg1", fig_params, iterations=100)
+    assert any(b < 7 for b in whole.failure_reasons) and any(b >= 7 for b in whole.failure_reasons)
+    part = whole.part(slice(7, 20), 2)
+    for f in dataclasses.fields(whole):
+        value = getattr(whole, f.name)
+        if isinstance(value, np.ndarray):
+            expected = value[7:, :2] if value.ndim == 2 else value[7:]
+            assert np.array_equal(getattr(part, f.name), expected), f.name
+    assert part.removed == whole.removed[7:]
+    assert part.failure_reasons == {b - 7: why for b, why in whole.failure_reasons.items() if b >= 7}
+
+
+def test_active_mask_of_the_wrong_shape_is_refused(fig_params):
+    scenario = orthogonal_scenario([50.0, 80.0])
+    with pytest.raises(ce.ConfigurationError, match="active must have shape"):
+        run_single(scenario, fig_params, active=np.ones((1, 3), dtype=bool))
+
+
 def test_dec_removal_never_raises_survivor_noise_enhancement():
     rng = np.random.default_rng(123)
     for _ in range(100):

@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
 
 import cdma_ee as ce
-from cdma_ee import harness
+from cdma_ee import control, harness
 from cdma_ee.harness import (
     ScenarioConfig,
     _t_quantile,
@@ -213,6 +215,43 @@ def test_k_sweep_equals_each_k_run_alone(monkeypatch, receiver, user_counts):
         assert refusal in sweep.errors
 
 
+@pytest.mark.parametrize("receiver, calls", [("mf", 1), ("dec", 3)])
+def test_run_block_makes_one_control_batch_per_block_under_mf_and_per_k_under_dec(
+    monkeypatch, receiver, calls
+):
+    widths = []
+
+    def counting_run(gain_power, *args, **kwargs):
+        widths.append(gain_power.shape)
+        return control.run_control_batch(gain_power, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_control_batch", counting_run)
+    config = tiny_config(receiver=receiver, user_counts=(2, 5, 12), iterations=60)
+    blocks = list(run_block(config, list(config.user_counts), [0, 1, 2]))
+    assert [k for k, _, _, _ in blocks] == [2, 5, 12]
+    assert [result.power.shape for _, _, _, result in blocks] == [(3, 2), (3, 5), (3, 12)]
+    assert widths == ([(9, 12)] if receiver == "mf" else [(3, 2), (3, 5), (3, 12)])
+    assert len(widths) == calls
+
+
+def test_mf_runs_cut_into_blocks_at_the_value_budget_change_no_row(monkeypatch):
+    config = tiny_config(user_counts=(2, 5, 12), realizations=5, iterations=60)
+    whole = run_experiment(config)
+    calls = []
+
+    def counting_run(*args, **kwargs):
+        calls.append(len(args[0]))
+        return control.run_control_batch(*args, **kwargs)
+
+    # A realization brings 3 rows of 12 users summing over 16, 576 weights: 1153 hold two.
+    monkeypatch.setattr(harness, "MF_BATCH_VALUES", 2 * 3 * 12 * 16 + 1)
+    monkeypatch.setattr(harness, "run_control_batch", counting_run)
+    cut = run_experiment(config)
+    assert calls == [6, 6, 3]
+    assert cut.rows == whole.rows
+    assert cut.errors == whole.errors and cut.diagnostics == whole.diagnostics
+
+
 def test_emit_and_read_round_trip(tmp_path):
     # 30 iterations leave rows with a removal and no stabilized iteration.
     cases = [(ce.RingGeometry(50.0, 200.0), (2, 3)), (ce.FixedGeometry(50.0, (80.0, 120.0)), (3,))]
@@ -266,6 +305,30 @@ def test_parallel_run_matches_serial(tmp_path, receiver):
     emit_results(serial, tmp_path / "s")
     emit_results(parallel, tmp_path / "p")
     assert (tmp_path / "s/raw.csv").read_bytes() == (tmp_path / "p/raw.csv").read_bytes()
+
+
+def test_metadata_records_the_environment_outside_the_config(tmp_path):
+    serial = run_experiment(tiny_config(workers=0))
+    parallel = run_experiment(tiny_config(workers=2))
+    written = []
+    for name, report in (("s", serial), ("p", parallel)):
+        paths = emit_results(report, tmp_path / name)
+        written.append(json.loads(paths["metadata"].read_text()))
+    for meta, workers in zip(written, (1, 2)):
+        environment = meta["environment"]
+        assert environment == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas": environment["blas"],
+            "cpu_count": os.cpu_count(),
+            "workers": workers,
+        }
+        assert environment["blas"] is None or isinstance(environment["blas"], str)
+        assert "environment" not in meta["config"]
+    assert written[0]["config_hash"] == written[1]["config_hash"]
+    for name in ("raw.csv", "aggregate.csv"):
+        assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
+    assert read_report(tmp_path / "p").environment == written[1]["environment"]
 
 
 def test_metadata_counts_verhulst_iterations_per_k(tmp_path):

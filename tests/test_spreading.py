@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import cdma_ee as ce
+from cdma_ee.control import mf_width
 from cdma_ee.spreading import (
     CONDITION_LIMIT,
     decorrelator_load_error,
@@ -297,3 +298,32 @@ def test_mai_weights_zero_diagonal():
     for b, stacked in enumerate(mf_mai_weights(stack)):
         assert np.array_equal(stacked, mf_mai_weights(stack[b]))
 
+
+
+@pytest.mark.parametrize("k", range(2, 16))
+def test_mf_values_of_a_row_do_not_depend_on_the_padded_width(k):
+    # The control loop sums each matched-filter row's MAI over mf_width (8, 16, ...)
+    # users, the weights past the batch's users zero.  NumPy's sum then gives a row of
+    # K users the same bytes at every width from mf_width(K) up, in a batch of K
+    # users or of more, and for K <= 4 or K mod 8 in {0, 1, 2} at the unpadded width K.
+    rng = np.random.default_rng(k)
+    rows = 6
+    correlation = np.stack([ce.generate_codes(63, k, rng).correlation for _ in range(rows)])
+    weights = mf_mai_weights(correlation)
+    gain = rng.exponential(size=(rows, k)) * 1e-8
+    power = rng.uniform(1e-6, 1e-2, size=(rows, k))
+
+    def at(width, users=k):
+        """The row values with ``users`` columns (the first k live) summed over ``width``."""
+        padded_weights = np.zeros((rows, users, width))
+        padded_weights[:, :k, :k] = weights
+        padded_gain, padded_power = np.ones((rows, users)), np.zeros((rows, users))
+        padded_gain[:, :k], padded_power[:, :k] = gain, power
+        sinr, itf = ce.mf_sinr(padded_power, padded_gain, padded_weights, 1e-12)
+        return np.concatenate([sinr[:, :k], itf[:, :k]]).tobytes()
+
+    step = mf_width(k)
+    values = {at(step), at(16), at(24), at(16, users=15), at(24, users=17)}
+    if k <= 4 or k % 8 in (0, 1, 2):
+        values.add(at(k))
+    assert values == {at(step)}
