@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import astuple, fields
 from pathlib import Path
@@ -81,9 +82,12 @@ def _overrides(args) -> dict:
 
 
 def _cmd_run(args) -> int:
+    overrides = _overrides(args)
+    if (workers := os.environ.get("CDMA_EE_WORKERS")) is not None:  # checked like a flag
+        overrides["workers"] = workers
     variants = expand_variants(load_config_data(args.config))
     for label, document in variants:
-        config = config_from_dict(document, _overrides(args))
+        config = config_from_dict(document, overrides)
         report = run_experiment(config)
         target = Path(config.output_dir)
         if len(variants) > 1:
@@ -100,7 +104,6 @@ def _cmd_tradeoff(args) -> int:
     users = config.tradeoff_user_count
     params = config.ee_params()
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     codes = generate_codes(config.processing_gain, users, np.random.default_rng(config.seed))
     summary = {}
     coupled = users > 1
@@ -118,6 +121,7 @@ def _cmd_tradeoff(args) -> int:
             rng=np.random.default_rng(config.seed),
         )
         name = f"tradeoff_{config.receiver}_d{distance:g}.csv"
+        out.mkdir(parents=True, exist_ok=True)
         write_csv(
             out / name,
             ["power_w", "mean_se_bit_per_s_per_hz", "mean_ee_bit_per_joule", "mean_sinr"],

@@ -25,7 +25,6 @@ import math
 import os
 import platform
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path, PurePath
@@ -44,7 +43,6 @@ from .scenario import RECEIVERS, draw_scenario, scenario_checksum
 from .seeding import realization_seed
 from .spreading import decorrelator_load_error
 
-WORKERS_ENV_VAR = "CDMA_EE_WORKERS"
 # MAI weight entries a block's matched-filter control batch may hold; more cut the run into blocks.
 MF_BATCH_VALUES = 1 << 20
 
@@ -123,39 +121,39 @@ class ScenarioConfig:
     fading_draws: int = _key(5000, TRADEOFF)
 
     def __post_init__(self):
-        self._check({
-            "seed": (self.seed >= 0, "must be >= 0"),
-            "realizations": (self.realizations >= 1, "must be >= 1"),
-            "processing_gain": (self.processing_gain >= 1, "must be >= 1"),
-            "receiver": (self.receiver in RECEIVERS, f"must be one of {RECEIVERS}"),
-            "algorithm": (self.algorithm in ALGORITHMS, f"must be one of {ALGORITHMS}"),
-            "user_counts": (min(self.user_counts, default=0) >= 1, "must be positive"),
-            "path_loss_exponent": (self.path_loss_exponent > 0.0, "must be > 0"),
-            "fading": (self.fading in FADING_KINDS, f"must be one of {FADING_KINDS}"),
-            "alpha": (0.0 < self.alpha < 1.0, "must lie in (0, 1)"),
-            "iterations": (self.iterations >= 1, "must be >= 1"),
-            "interest_distance": (self.interest_distance > 0.0, "must be > 0"),
-            "interferer_distances": (min(self.interferer_distances, default=1.0) > 0.0,
-                                     "must all be > 0"),
-            "tradeoff_user_count": (self.tradeoff_user_count >= 1, "must be >= 1"),
-            "interferer_power": (self.interferer_power >= 0.0, "must be >= 0"),
-            "sweep_points": (self.sweep_points >= 1, "must be >= 1"),
-            "fading_draws": (self.fading_draws >= 1, "must be >= 1"),
-        })
         counts = self.user_counts
-        self._check({
-            "user_counts": (len(set(counts)) == len(counts), "must not repeat"),
-            "interferer_distances": (len(self.interferer_distances) > 0, "must not be empty"),
-        })
+        self._check(
+            ("seed", self.seed >= 0, "must be >= 0"),
+            ("realizations", self.realizations >= 1, "must be >= 1"),
+            ("workers", self.workers >= 0, "must be >= 0"),
+            ("processing_gain", self.processing_gain >= 1, "must be >= 1"),
+            ("receiver", self.receiver in RECEIVERS, f"must be one of {RECEIVERS}"),
+            ("algorithm", self.algorithm in ALGORITHMS, f"must be one of {ALGORITHMS}"),
+            ("user_counts", len(counts) > 0, "must not be empty"),
+            ("user_counts", min(counts, default=1) >= 1, "must be positive"),
+            ("user_counts", len(set(counts)) == len(counts), "must not repeat"),
+            ("path_loss_exponent", self.path_loss_exponent > 0.0, "must be > 0"),
+            ("fading", self.fading in FADING_KINDS, f"must be one of {FADING_KINDS}"),
+            ("alpha", 0.0 < self.alpha < 1.0, "must lie in (0, 1)"),
+            ("iterations", self.iterations >= 1, "must be >= 1"),
+            ("interest_distance", self.interest_distance > 0.0, "must be > 0"),
+            ("interferer_distances", len(self.interferer_distances) > 0, "must not be empty"),
+            ("interferer_distances", min(self.interferer_distances, default=1.0) > 0.0,
+             "must all be > 0"),
+            ("tradeoff_user_count", self.tradeoff_user_count >= 1, "must be >= 1"),
+            ("interferer_power", self.interferer_power >= 0.0, "must be >= 0"),
+            ("sweep_points", self.sweep_points >= 1, "must be >= 1"),
+            ("fading_draws", self.fading_draws >= 1, "must be >= 1"),
+        )
         try:
             self.ee_params()
         except ValueError as exc:  # every EEParams quantity lives under radio:
             raise ConfigurationError(f"{RADIO}: {exc}") from exc
 
-    def _check(self, checks: dict) -> None:
-        """Raise for the first field of ``checks`` (name -> (ok, need)) that is not
-        ok, naming its section and key."""
-        for name, (ok, need) in checks.items():
+    def _check(self, *checks) -> None:
+        """Raise for the first ``(name, ok, need)`` of ``checks`` that is not ok,
+        naming the field's section and key."""
+        for name, ok, need in checks:
             if not ok:
                 section, key, _ = _LOCATION[name]
                 raise ConfigurationError(f"{_path(section, key)} {need}")
@@ -394,17 +392,6 @@ def _run_chunk(config: ScenarioConfig, user_counts: list[int], realizations: lis
     return chunk
 
 
-def resolve_workers(config_workers: int) -> int:
-    """Worker count with environment override; <= 1 means serial."""
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env is not None:
-        try:
-            return max(int(env), 0)
-        except ValueError as exc:
-            raise ConfigurationError(f"{WORKERS_ENV_VAR} must be an integer: {env!r}") from exc
-    return config_workers
-
-
 def run_environment(workers: int) -> dict:
     """Python, NumPy and BLAS versions (BLAS None where NumPy does not report
     it), the host's CPU count and the ``workers`` that ran the blocks."""
@@ -425,19 +412,21 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
             errors.append({"k_users": k_users, "error": reason})
         else:
             user_counts.append(k_users)
-    workers = resolve_workers(config.workers)
-    blocks = max(workers, 1)
+    blocks = max(config.workers, 1)
     if config.receiver == "mf" and user_counts:  # see MF_BATCH_VALUES
         k_max = max(user_counts)
         values = config.realizations * len(user_counts) * k_max * mf_width(k_max)
         blocks = max(blocks, -(-values // MF_BATCH_VALUES))
     splits = np.array_split(range(config.realizations), blocks) if user_counts else []
     tasks = [split.tolist() for split in splits if len(split)]
+    workers = max(min(config.workers, len(tasks)), 1)  # processes that run the blocks
 
     rows: list[RealizationRecord] = []
     diagnostics: dict[str, dict] = {}
     run_chunk = functools.partial(_run_chunk, config, user_counts)
-    if workers > 1 and tasks:
+    if workers > 1:  # only here: loading the pool costs every other CLI call time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_chunk, tasks))
     else:
@@ -457,7 +446,7 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
         aggregates=aggregate_rows(rows, errors),
         errors=errors,
         diagnostics=diagnostics,
-        environment=run_environment(min(max(workers, 1), max(len(tasks), 1))),
+        environment=run_environment(workers),
     )
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -240,6 +241,7 @@ def test_bad_receiver_k_combination_exits_numeric_or_config(tmp_path, capsys, co
     )
     assert main([command, "--config", str(config)]) == 2
     assert "decorrelator needs K <= N" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_single_user_tradeoff_writes_strict_json(tmp_path, capsys):
@@ -313,6 +315,8 @@ def test_preset_configs_are_reachable(tmp_path):
          "tradeoff.interferer_distances_m must not be empty"),
         ({"control": {"count_removed_circuit_power": False}},
          "unknown config key(s): control.count_removed_circuit_power"),
+        ({"system": {"user_counts": []}}, "system.user_counts must not be empty"),
+        ({"workers": -3}, "workers must be >= 0"),
     ],
 )
 def test_bad_config_exits_with_config_code(tmp_path, capsys, overrides, named):
@@ -320,6 +324,24 @@ def test_bad_config_exits_with_config_code(tmp_path, capsys, overrides, named):
     assert main(["solve", "--config", str(config), "--k", "2"]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and named in err
+
+
+def test_workers_env_var_makes_run_parallel_and_is_echoed(tmp_path, monkeypatch):
+    monkeypatch.setenv("CDMA_EE_WORKERS", "2")
+    assert main(["run", "--config", str(write_config(tmp_path))]) == 0
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert meta["config"]["workers"] == 2 and meta["environment"]["workers"] == 2
+
+
+@pytest.mark.parametrize(
+    "value, named", [("junk", "workers must be int, got 'junk'"), ("2.5", "workers must be int"),
+                     ("-1", "workers must be >= 0")]
+)
+def test_bad_workers_env_var_exits_with_config_code(tmp_path, capsys, monkeypatch, value, named):
+    monkeypatch.setenv("CDMA_EE_WORKERS", value)
+    assert main(["run", "--config", str(write_config(tmp_path))]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _drop_config(run_dir):
@@ -406,7 +428,8 @@ def test_overflowing_interference_exits_with_numeric_code(tmp_path, capsys, comm
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # no command needs SciPy: two runs and a compare must not import it
+    # no command needs SciPy, and no serial one the process pool: two runs and a
+    # compare must import neither
     src = str(Path(cdma_ee.__file__).parents[1])
     runs = [tmp_path / "ra", tmp_path / "rb"]
     configs = [
@@ -418,6 +441,9 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     calls.append(["compare", "--a", str(runs[0]), "--b", str(runs[1])])
     code = f"import sys; sys.path.insert(0, {src!r}); from cdma_ee.cli import main; "
     code += f"codes = [main(argv) for argv in {calls!r}]; "
-    code += "print(codes, 'scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "[0, 0, 0] False"
+    code += "print(codes, 'scipy' in sys.modules, 'concurrent.futures.process' in sys.modules)"
+    env = {k: v for k, v in os.environ.items() if k != "CDMA_EE_WORKERS"}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0] False False"

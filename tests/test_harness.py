@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -18,7 +19,6 @@ from cdma_ee.harness import (
     load_config_data,
     paired_comparison,
     read_report,
-    resolve_workers,
     run_block,
     run_experiment,
 )
@@ -414,14 +414,19 @@ def test_grouped_metrics_equal_each_row_alone():
                 assert row.global_ee == 0.0
 
 
-def test_workers_env_override(monkeypatch):
+def test_run_experiment_takes_its_worker_count_from_the_config_alone(monkeypatch):
+    # The variable is a `cdma-ee run` override (test_cli); library callers set config.workers.
     monkeypatch.setenv("CDMA_EE_WORKERS", "3")
-    assert resolve_workers(0) == 3
-    monkeypatch.setenv("CDMA_EE_WORKERS", "junk")
-    with pytest.raises(ce.ConfigurationError):
-        resolve_workers(0)
-    monkeypatch.delenv("CDMA_EE_WORKERS")
-    assert resolve_workers(2) == 2
+    assert run_experiment(tiny_config(workers=0)).environment["workers"] == 1
+
+
+def test_a_run_of_one_block_builds_no_pool(monkeypatch):
+    def refuse(**_):
+        pytest.fail("a process pool was built for a single block")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    report = run_experiment(tiny_config(realizations=1, workers=2))
+    assert report.environment["workers"] == 1 and len(report.rows) == 2
 
 
 def test_header_only_tables_when_no_valid_k(tmp_path):
