@@ -86,8 +86,9 @@ def _cmd_run(args) -> int:
     if (workers := os.environ.get("CDMA_EE_WORKERS")) is not None:  # checked like a flag
         overrides["workers"] = workers
     variants = expand_variants(load_config_data(args.config))
-    for label, document in variants:
-        config = config_from_dict(document, overrides)
+    # Every variant's config is checked before any runs, so a bad one writes nothing.
+    configs = [(label, config_from_dict(document, overrides)) for label, document in variants]
+    for label, config in configs:
         report = run_experiment(config)
         target = Path(config.output_dir)
         if len(variants) > 1:

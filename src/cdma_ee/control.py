@@ -130,11 +130,6 @@ def _movement(before, after, noise):
     return movement.max(axis=1)
 
 
-def _same_bytes(a, b):
-    """Rows of two (B, K) float arrays that hold the same bytes."""
-    return (a.view(np.int64) == b.view(np.int64)).all(axis=1)
-
-
 def _batch_round(
     gain_power,
     weights,
@@ -153,17 +148,17 @@ def _batch_round(
     decorrelator it is None and ``dec_itf`` holds the fixed effective
     interference (1.0 for inactive users).
 
-    A row's loop state is its powers, plus its targets under matched-filter
-    re-solving (they warm-start the next solve, whose result depends on the
-    guess to the last bit).  Every ``REPEAT_WINDOW`` iterations the state is
-    saved as an anchor.  A row whose state at step s repeats its anchor's bytes
-    after P steps is periodic from the anchor on, so it runs on to the first
-    step after s that lies a whole number of periods before ``iterations``:
-    there its powers, targets and last movement equal those of the last
-    iteration, and it leaves.  Its settling iteration moves on by the skipped
-    periods if the settled run began inside the last period.  ``trajectory``
-    turns the check off, so every row runs every iteration, and collects the
-    powers after each.  Returns the final state with the iterations each row ran.
+    A row's loop state is its powers alone: its targets are fixed for the
+    round or re-solved from the effective interference, a function of the
+    powers.  Every ``REPEAT_WINDOW`` iterations the powers are saved as an
+    anchor.  A row whose powers at step s repeat its anchor's bytes after P
+    steps is periodic from the anchor on, so it runs on to the first step
+    after s that lies a whole number of periods before ``iterations``: there
+    its powers, targets and last movement equal those of the last iteration,
+    and it leaves.  Its settling iteration moves on by the skipped periods if
+    the settled run began inside the last period.  ``trajectory`` turns the
+    check off, so every row runs every iteration, and collects the powers
+    after each.  Returns the final state with the iterations each row ran.
     """
     batch, users = gain_power.shape
     noise = params.noise_power
@@ -194,17 +189,13 @@ def _batch_round(
     stab = np.full(batch, -1, dtype=int)
     stop = np.full(batch, iterations)  # the step after which each row leaves
     period = np.zeros(batch, dtype=int)  # 0 until the row repeats its anchor
-    prev_sinr = anchor = anchor_targets = None
+    prev_sinr = anchor = None
 
     for it in range(iterations):
         sinr, eff_itf = observe(power, inputs)
         if it == 0 or resolving:
-            act = inputs[3]
-            # Only active users are solved; each warm-starts from its last target.
-            solved, no_interior = solve_optimal_sinr_batch(
-                eff_itf[act], params, initial_guess=targets[act] if it else None
-            )
-            targets[act] = solved
+            act = inputs[3]  # only active users are solved
+            targets[act], no_interior = solve_optimal_sinr_batch(eff_itf[act], params)
             flagged[live[active_row[no_interior]]] = True
 
         updated = verhulst_step(power, sinr, targets, alpha, params.max_power)
@@ -231,8 +222,8 @@ def _batch_round(
                 break
             inputs = take(inputs, keep)
             active_row = np.nonzero(inputs[3])[0]
-            updated, targets, sinr, stab, stop, period, anchor, anchor_targets = take(
-                (updated, targets, sinr, stab, stop, period, anchor, anchor_targets), keep
+            updated, targets, sinr, stab, stop, period, anchor = take(
+                (updated, targets, sinr, stab, stop, period, anchor), keep
             )
         prev_sinr = sinr
         power = updated
@@ -241,16 +232,12 @@ def _batch_round(
 
         slot = step % REPEAT_WINDOW
         if step > REPEAT_WINDOW:
-            same = _same_bytes(power, anchor)
-            if resolving:
-                same &= _same_bytes(targets, anchor_targets)
+            same = (power.view(np.int64) == anchor.view(np.int64)).all(axis=1)  # same bytes
             cycle = slot or REPEAT_WINDOW
             period[same] = cycle
             stop[same] = step + (iterations - step - 1) % cycle + 1
         if slot == 0:
             anchor = power
-            if resolving:
-                anchor_targets = targets.copy()
 
     sinr, eff_itf = observe(final_power, everyone)
     return final_power, sinr, final_targets, eff_itf, stabilized, last_change, flagged, ran
@@ -313,11 +300,8 @@ def run_control_batch(
     if receiver == "mf":
         weights = np.zeros((batch, users, mf_width(users)))
         weights[..., :users] = mf_mai_weights(correlation)
-    base_power = (
-        np.full((batch, users), params.noise_power)
-        if initial_power is None
-        else np.broadcast_to(np.asarray(initial_power, dtype=float), (batch, users))
-    )
+    start = params.noise_power if initial_power is None else initial_power
+    base_power = np.broadcast_to(np.asarray(start, dtype=float), (batch, users))
 
     removed: list[list[int]] = [[] for _ in range(batch)]
     rounds = np.zeros(batch, dtype=int)

@@ -102,10 +102,7 @@ def reference_batch_round(
     for it in range(iterations):
         sinr, eff_itf = observe(power)
         if it == 0 or (weights is not None and resolve_each_iteration):
-            solved, no_interior = solve_optimal_sinr_batch(
-                eff_itf[active], params, initial_guess=targets[active] if it else None
-            )
-            targets[active] = solved
+            targets[active], no_interior = solve_optimal_sinr_batch(eff_itf[active], params)
             flagged[active_row[no_interior]] = True
 
         updated = control.verhulst_step(power, sinr, targets, alpha, params.max_power)

@@ -125,6 +125,19 @@ def test_malformed_variants_exit_with_config_code(tmp_path, capsys, variants, na
     assert not (tmp_path / "out").exists()
 
 
+def test_bad_later_variant_exits_before_any_variant_runs(tmp_path, capsys):
+    # every variant's config is checked first, so the good first variant writes nothing
+    config = write_config(
+        tmp_path,
+        variants=[{"name": "a"}, {"name": "b", "system": {"user_counts": []}}],
+    )
+    assert main(["run", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert "system.user_counts must not be empty" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name", ["../../escaped", "a/b", "/abs", "..", ".", "", "a/"])
 def test_variant_names_outside_one_path_component_exit_with_config_code(tmp_path, capsys, name):
     # A variant writes under output_dir/<name>, so its name must not climb out of it.

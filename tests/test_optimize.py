@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import cdma_ee as ce
-from cdma_ee import optimize
 from cdma_ee.optimize import BRACKET_MAX, _stationarity
 
 from conftest import (
@@ -77,6 +76,20 @@ def test_optimal_sinr_matches_log_grid_oracle_randomized():
             continue
         oracle = grid_argmax(itf, params, gap)
         assert abs(solved[0] - oracle) / oracle < 1e-3
+    # the extreme parameter sets of the start table, from a one-bit packet to
+    # 20000 bits and from the largest valid BER down to 1e-15
+    checked = 0
+    for packets in (1, 20000):
+        for ber in (0.044, 1e-8, 1e-15):
+            for itf, circuit in ((1e-9, 0.0), (1e-9, 1e-4), (1e-7, 1e-2), (1e-11, 1e-6)):
+                params = make_params(packets, 1, circuit, ber)
+                solved, no_interior = ce.solve_optimal_sinr_batch(np.array([itf]), params)
+                if no_interior[0]:
+                    continue
+                oracle = grid_argmax(itf, params, params.gap())
+                assert abs(solved[0] - oracle) / oracle < 1e-3, (packets, ber, itf, circuit)
+                checked += 1
+    assert checked >= 20
 
 
 def test_optimal_sinr_residual_is_tiny():
@@ -138,45 +151,69 @@ def test_batch_solver_flags_instead_of_raising():
     assert stars[0] == pytest.approx(1e6)
 
 
-def test_batch_solver_warm_start_agrees_with_cold():
+def test_batch_solver_entry_does_not_depend_on_its_batch():
+    # each entry's bytes are the same solved alone, shuffled, or among others
     params = make_params(circuit_power=ce.dbm_to_watt(7.0))
     rng = np.random.default_rng(4)
-    itf = 10.0 ** rng.uniform(-10, -5, size=64)
-    cold, _ = ce.solve_optimal_sinr_batch(itf, params)
-    warm, _ = ce.solve_optimal_sinr_batch(itf, params, initial_guess=cold * 1.01)
-    assert np.max(np.abs(warm - cold) / cold) < 1e-8
+    itf = 10.0 ** rng.uniform(-12, -4, size=64)  # flagged and interior entries
+    together, flags = ce.solve_optimal_sinr_batch(itf, params)
+    assert flags.any() and not flags.all()
+    order = rng.permutation(itf.size)
+    shuffled, shuffled_flags = ce.solve_optimal_sinr_batch(itf[order], params)
+    assert np.array_equal(shuffled.view(np.int64), together[order].view(np.int64))
+    assert np.array_equal(shuffled_flags, flags[order])
+    larger = np.concatenate([10.0 ** rng.uniform(-14, -2, size=200), itf])
+    inside, inside_flags = ce.solve_optimal_sinr_batch(larger, params)
+    assert np.array_equal(inside[200:].view(np.int64), together.view(np.int64))
+    assert np.array_equal(inside_flags[200:], flags)
+    for i in range(itf.size):
+        alone, alone_flag = ce.solve_optimal_sinr_batch(itf[i : i + 1], params)
+        assert alone.view(np.int64)[0] == together.view(np.int64)[i]
+        assert alone_flag[0] == flags[i]
 
 
-@pytest.mark.parametrize("guess", [9.5e5, BRACKET_MAX])
-def test_batch_solver_flag_does_not_depend_on_warm_start(guess):
-    # no interior maximum up to the ceiling: a warm bracket reaching past it
-    # must not find the root beyond it that the cold solve never searches
+@pytest.mark.parametrize("packet_bits, ber", [(80, 1e-3), (1, 1e-15), (20000, 0.044)])
+def test_batch_solver_depends_on_the_cost_ratio_alone(packet_bits, ber):
+    # scaling circuit power and interference by 2^k keeps rho = p_c/I exact
+    rng = np.random.default_rng(5)
+    itf = 10.0 ** rng.uniform(-12, -4, size=256)
+    params = make_params(packet_bits, 1, 5e-3, ber)
+    stars, flags = ce.solve_optimal_sinr_batch(itf, params)
+    for k in (-40, -3, 1, 7, 30):
+        scaled = dataclasses.replace(params, circuit_power=params.circuit_power * 2.0**k)
+        other, other_flags = ce.solve_optimal_sinr_batch(itf * 2.0**k, scaled)
+        assert np.array_equal(other.view(np.int64), stars.view(np.int64)), k
+        assert np.array_equal(other_flags, flags), k
+
+
+def test_batch_solver_flag_is_the_residual_sign_at_the_ceiling():
+    # the flag is set exactly where the residual at BRACKET_MAX is positive,
+    # on both sides of the boundary, and a flagged entry sits at the ceiling
     params = make_params(circuit_power=ce.dbm_to_watt(7.0))
-    itf = np.array([3.63e-10])
-    cold, cold_flag = ce.solve_optimal_sinr_batch(itf, params)
-    warm, warm_flag = ce.solve_optimal_sinr_batch(itf, params, initial_guess=np.array([guess]))
-    assert cold_flag.tolist() == warm_flag.tolist() == [True]
-    assert cold[0] <= BRACKET_MAX and warm[0] <= BRACKET_MAX
-    assert warm[0] == cold[0]
+    gap, packets = params.gap(), float(params.packet_bits)
 
+    def rising_at_ceiling(itf):
+        residual, _ = _stationarity(BRACKET_MAX, gap, packets, params.circuit_power / itf, False)
+        return residual > 0.0
 
-def test_batch_solver_warm_start_on_root_stops_on_newton_step(monkeypatch):
-    params = make_params(circuit_power=ce.dbm_to_watt(7.0))
-    itf = np.geomspace(1e-9, 1e-5, 1000)
-    cold, flagged = ce.solve_optimal_sinr_batch(itf, params)
-    assert not flagged.any()
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return _stationarity(*args, **kwargs)
-
-    monkeypatch.setattr(optimize, "_stationarity", counted)
-    warm, warm_flagged = ce.solve_optimal_sinr_batch(itf, params, initial_guess=cold)
-    # the two warm bracket ends, then one Newton step of (almost) zero length
-    assert len(calls) == 3
-    assert not warm_flagged.any()
-    assert np.max(np.abs(warm - cold) / cold) <= 1e-12
+    lo, hi = 1e-12, 1e-8  # flagged at lo, interior at hi
+    assert rising_at_ceiling(lo) and not rising_at_ceiling(hi)
+    for _ in range(200):  # bisect the boundary to adjacent floats
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if rising_at_ceiling(mid) else (lo, mid)
+    steps = np.arange(-64, 65)
+    itf = np.concatenate([lo + steps * np.spacing(lo), lo * (1.0 + np.geomspace(1e-12, 1e-1, 23)),
+                          lo * (1.0 - np.geomspace(1e-12, 1e-1, 23)), [3.63e-10]])
+    stars, flags = ce.solve_optimal_sinr_batch(itf, params)
+    expected = np.array([rising_at_ceiling(i) for i in itf])
+    assert np.array_equal(flags, expected)
+    assert flags.any() and not flags.all()
+    assert np.all(stars[flags] == BRACKET_MAX)
+    assert np.all(stars[~flags] <= BRACKET_MAX)
+    # no interior maximum up to the ceiling at 3.63e-10, though a root lies just past it
+    assert flags[-1] and stars[-1] == BRACKET_MAX
 
 
 def test_batch_solver_rejects_bad_interference():
