@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cdma_ee as ce
+from cdma_ee import optimize
 from cdma_ee.optimize import BRACKET_MAX, _stationarity
 
 from conftest import (
@@ -214,6 +215,21 @@ def test_batch_solver_flag_is_the_residual_sign_at_the_ceiling():
     assert np.all(stars[~flags] <= BRACKET_MAX)
     # no interior maximum up to the ceiling at 3.63e-10, though a root lies just past it
     assert flags[-1] and stars[-1] == BRACKET_MAX
+
+
+@pytest.mark.parametrize("guess", [9.5e5, BRACKET_MAX])
+def test_batch_solver_flag_does_not_depend_on_warm_start(guess, monkeypatch):
+    # no interior maximum up to the ceiling: Newton steps started near the
+    # ceiling must not find the root beyond it and clear the flag
+    params = make_params(circuit_power=ce.dbm_to_watt(7.0))
+    itf = np.array([3.63e-10])
+    cold, cold_flag = ce.solve_optimal_sinr_batch(itf, params)
+    start = np.full(optimize.TABLE_NODES, np.log(guess))
+    monkeypatch.setattr(optimize, "_root_table", lambda gap, packet_bits: start)
+    warm, warm_flag = ce.solve_optimal_sinr_batch(itf, params)
+    assert cold_flag.tolist() == warm_flag.tolist() == [True]
+    assert cold[0] <= BRACKET_MAX and warm[0] <= BRACKET_MAX
+    assert warm[0] == cold[0]
 
 
 def test_batch_solver_rejects_bad_interference():
