@@ -6,7 +6,6 @@ from .channel import (
     ChannelState,
     FixedGeometry,
     RingGeometry,
-    coupling_parameter,
     draw_channel,
     draw_placement,
 )

@@ -119,10 +119,3 @@ def check_gain_power(gain_power: np.ndarray, noise_power: float) -> None:
     with np.errstate(over="ignore"):
         if not np.all(np.isfinite(noise_power / gain_power)):
             raise FloatingPointError("effective interference overflows; check noise_power_w")
-
-
-def coupling_parameter(mean_interest_gain: float, mean_interferer_gain: float) -> float:
-    """Ratio of the interest user's average gain power to the interferers'."""
-    if mean_interest_gain <= 0.0 or mean_interferer_gain <= 0.0:
-        raise ValueError("mean gain powers must be positive")
-    return mean_interest_gain / mean_interferer_gain

@@ -33,7 +33,7 @@ from .harness import (
 from .metrics import rate, utility
 from .scenario import RECEIVERS
 from .spreading import generate_codes
-from .tradeoff import default_sweep_grid, sweep_tradeoff
+from .tradeoff import sweep_tradeoff
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -94,7 +94,7 @@ def _cmd_run(args) -> int:
         if len(variants) > 1:
             target = target / label
         paths = emit_results(report, target)
-        print(f"[{label}] {len(report.rows)} realizations -> {paths['raw'].parent}")
+        print(f"[{label}] {len(report.rows)} rows -> {paths['raw'].parent}")
         for err in report.errors:
             print(f"[{label}] skipped: {err}", file=sys.stderr)
     return 0
@@ -105,7 +105,9 @@ def _cmd_tradeoff(args) -> int:
     users = config.tradeoff_user_count
     params = config.ee_params()
     out = Path(config.output_dir)
-    codes = generate_codes(config.processing_gain, users, np.random.default_rng(config.seed))
+    # Codes and fading get child streams; each curve restarts fading, so all see the same draws.
+    code_stream, fading_stream = np.random.SeedSequence(config.seed).spawn(2)
+    codes = generate_codes(config.processing_gain, users, np.random.default_rng(code_stream))
     summary = {}
     coupled = users > 1
     for distance in config.interferer_distances:
@@ -115,11 +117,11 @@ def _cmd_tradeoff(args) -> int:
             params,
             config.receiver,
             config.interferer_power,
-            sweep_powers=default_sweep_grid(params.max_power, config.sweep_points),
+            sweep_points=config.sweep_points,
             fading=config.fading,
             fading_draws=config.fading_draws,
             path_loss_exponent=config.path_loss_exponent,
-            rng=np.random.default_rng(config.seed),
+            rng=np.random.default_rng(fading_stream),
         )
         name = f"tradeoff_{config.receiver}_d{distance:g}.csv"
         out.mkdir(parents=True, exist_ok=True)

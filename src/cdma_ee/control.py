@@ -120,7 +120,7 @@ def verhulst_step(power, sinr, target_sinr, alpha, max_power):
 
 def _settled(sinr, prev_sinr):
     """Rows whose SINRs all moved by less than ``SINR_STABLE_REL_TOL``."""
-    shift = np.abs(sinr - prev_sinr) / np.maximum(np.abs(prev_sinr), 1e-300)
+    shift = np.abs(sinr - prev_sinr) / np.maximum(prev_sinr, 1e-300)  # SINRs are >= 0
     return shift.max(axis=1) < SINR_STABLE_REL_TOL
 
 
@@ -139,14 +139,13 @@ def _batch_round(
     iterations,
     alpha,
     initial_power,
-    resolve_each_iteration,
     trajectory=None,
 ):
     """One Verhulst round of ``iterations`` steps over a sub-batch; no removals here.
 
     Under the matched filter ``weights`` holds the MAI weights; under the
     decorrelator it is None and ``dec_itf`` holds the fixed effective
-    interference (1.0 for inactive users).
+    interference (1.0 for inactive users, whose powers stay +0.0).
 
     A row's loop state is its powers alone: its targets are fixed for the
     round or re-solved from the effective interference, a function of the
@@ -162,13 +161,12 @@ def _batch_round(
     """
     batch, users = gain_power.shape
     noise = params.noise_power
-    resolving = weights is not None and resolve_each_iteration
 
     def observe(power, inputs):
-        gain, mai_weights, itf, act = inputs
+        gain, mai_weights, itf, _ = inputs
         if mai_weights is not None:
             return mf_sinr(power, gain, mai_weights, noise)
-        return np.where(act, power / itf, 0.0), itf
+        return power / itf, itf
 
     def take(arrays, rows):
         return tuple(None if a is None else a[rows] for a in arrays)
@@ -193,7 +191,7 @@ def _batch_round(
 
     for it in range(iterations):
         sinr, eff_itf = observe(power, inputs)
-        if it == 0 or resolving:
+        if it == 0 or weights is not None:
             act = inputs[3]  # only active users are solved
             targets[act], no_interior = solve_optimal_sinr_batch(eff_itf[act], params)
             flagged[live[active_row[no_interior]]] = True
@@ -277,8 +275,11 @@ def run_control_batch(
     ``trajectory`` (for checks) makes every row run every iteration and
     collects the power array after each iteration of every round.
     ``iterations_run`` counts the iterations each row ran; the results equal
-    those of ``iterations`` per round.
+    those of ``iterations`` per round.  Matched-filter targets are always
+    re-solved every iteration: ``resolve_each_iteration=False`` is refused.
     """
+    if not resolve_each_iteration:
+        raise ConfigurationError("matched-filter targets are re-solved every iteration")
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(f"algorithm must be one of {ALGORITHMS}")
     if receiver not in RECEIVERS:
@@ -350,7 +351,6 @@ def run_control_batch(
             iterations,
             alpha,
             base_power[rows],
-            resolve_each_iteration,
             trajectory=trajectory,
         )
         iterations_run[rows] += ran

@@ -25,15 +25,13 @@ def dbm_to_watt(value_dbm: float) -> float:
     return 10.0 ** ((value_dbm - 30.0) / 10.0)
 
 
-def sinr_gap(ber) -> float | np.ndarray:
+def sinr_gap(ber: float) -> float:
     """SINR gap factor -1.5/ln(5*ber), in (0, 1) for valid BER targets."""
-    ber_arr = np.asarray(ber, dtype=float)
-    if np.any(ber_arr <= 0.0) or np.any(ber_arr >= BER_LIMIT):
+    if not 0.0 < ber < BER_LIMIT:
         raise ValueError(
             f"ber must lie in (0, {BER_LIMIT:.6g}) so the gap factor stays inside (0, 1)"
         )
-    gap = -1.5 / np.log(5.0 * ber_arr)
-    return float(gap) if np.isscalar(ber) else gap
+    return float(-1.5 / np.log(5.0 * ber))
 
 
 def rate(sinr, gap, bandwidth):

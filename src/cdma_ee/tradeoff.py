@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import check_gain_power, coupling_parameter, draw_channel
+from .channel import check_gain_power, draw_channel
 from .errors import ConfigurationError
 from .metrics import EEParams, rate, utility
 from .optimize import scan_unimodal
@@ -74,27 +74,21 @@ def sweep_tradeoff(
     params: EEParams,
     receiver: str,
     interferer_power,
-    sweep_powers: np.ndarray | None = None,
+    sweep_points: int = SWEEP_POINTS,
     fading: str = "rayleigh",
     fading_draws: int = 5000,
     path_loss_exponent: float = 2.0,
     rng: int | None | np.random.Generator = None,
 ) -> TradeoffCurve:
-    """Average SE/EE over fading draws for every power on the sweep grid.
+    """Average SE/EE over fading draws at each power of ``default_sweep_grid``.
 
     ``distances`` are the users' distances in metres, the interest user first.
     """
     if receiver not in RECEIVERS:
         raise ConfigurationError(f"receiver must be one of {RECEIVERS}")
-    grid = default_sweep_grid(params.max_power) if sweep_powers is None else np.asarray(
-        sweep_powers, dtype=float
-    )
-    if grid.size == 0:
-        raise ConfigurationError("sweep grid must not be empty")
-    if np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
-        raise ConfigurationError("sweep grid must be strictly increasing and positive")
-    if grid[-1] > params.max_power * (1.0 + 1e-12):
-        raise ConfigurationError("sweep grid exceeds max_power")
+    if sweep_points < 1:
+        raise ConfigurationError("sweep_points must be >= 1")
+    grid = default_sweep_grid(params.max_power, sweep_points)
 
     distances = np.asarray(distances, dtype=float)
     users = distances.size
@@ -143,10 +137,8 @@ def sweep_tradeoff(
     max_ee_index = int(np.argmax(ee))
     # cumsum adds the draws in order too, where np.sum would add them pairwise.
     coupling = (
-        coupling_parameter(
-            np.cumsum(gain_power[:, 0])[-1] / draws,
-            np.cumsum(gain_power[:, 1:].mean(axis=1))[-1] / draws,
-        )
+        (np.cumsum(gain_power[:, 0])[-1] / draws)
+        / (np.cumsum(gain_power[:, 1:].mean(axis=1))[-1] / draws)
         if users > 1
         else float("nan")
     )

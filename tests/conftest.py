@@ -78,7 +78,6 @@ def reference_batch_round(
     iterations,
     alpha,
     initial_power,
-    resolve_each_iteration,
     trajectory=None,
 ):
     """``control._batch_round`` as a loop that runs every one of its
@@ -101,7 +100,7 @@ def reference_batch_round(
 
     for it in range(iterations):
         sinr, eff_itf = observe(power)
-        if it == 0 or (weights is not None and resolve_each_iteration):
+        if it == 0 or weights is not None:
             targets[active], no_interior = solve_optimal_sinr_batch(eff_itf[active], params)
             flagged[active_row[no_interior]] = True
 

@@ -103,12 +103,3 @@ def test_channel_determinism_and_fading_validation():
         ce.draw_channel(distances, 2.0, "shadowed")
     with pytest.raises(ce.ConfigurationError):
         ce.draw_channel(distances, 0.0, "none")
-
-
-def test_coupling_parameter_values():
-    assert ce.coupling_parameter(4e-4, 4e-4) == 1.0
-    assert ce.coupling_parameter(50.0**-2, 200.0**-2) == pytest.approx(16.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        ce.coupling_parameter(0.0, 1.0)
-    with pytest.raises(ValueError):
-        ce.coupling_parameter(1.0, -1.0)

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import os
@@ -5,10 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 import cdma_ee
+from cdma_ee import cli
 from cdma_ee.cli import main
 
 
@@ -52,7 +55,7 @@ def test_run_subcommand(tmp_path, capsys):
     assert (out_dir / "raw.csv").exists()
     assert (out_dir / "aggregate.csv").exists()
     assert (out_dir / "metadata.json").exists()
-    assert "cli_tiny" in capsys.readouterr().out
+    assert "[cli_tiny] 4 rows ->" in capsys.readouterr().out  # 2 K x 2 realizations
 
 
 def test_run_with_overrides(tmp_path):
@@ -255,6 +258,38 @@ def test_bad_receiver_k_combination_exits_numeric_or_config(tmp_path, capsys, co
     assert main([command, "--config", str(config)]) == 2
     assert "decorrelator needs K <= N" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_tradeoff_codes_and_fading_draw_from_separate_streams(tmp_path, monkeypatch):
+    # The codes and the fading take two children of the seed, and every curve
+    # starts a fresh generator on the fading child: the DEC curves, which do
+    # not depend on the interferers, are then the same at every distance.
+    seen = {"codes": [], "fading": []}
+    real_codes, real_sweep = cli.generate_codes, cli.sweep_tradeoff
+
+    def codes(processing_gain, users, rng):
+        seen["codes"].append(copy.deepcopy(rng))
+        return real_codes(processing_gain, users, rng)
+
+    def sweep(*args, rng, **kwargs):
+        seen["fading"].append(copy.deepcopy(rng))
+        return real_sweep(*args, rng=rng, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_codes", codes)
+    monkeypatch.setattr(cli, "sweep_tradeoff", sweep)
+    distances = [200, 100, 80]
+    config = write_config(
+        tmp_path, system={"receiver": "dec"}, tradeoff={"interferer_distances_m": distances}
+    )
+    assert main(["tradeoff", "--config", str(config)]) == 0
+    [code_rng] = seen["codes"]
+    fading = [rng.random(4) for rng in seen["fading"]]
+    assert len(fading) == len(distances)
+    assert not np.array_equal(code_rng.random(4), fading[0])
+    assert all(np.array_equal(draws, fading[0]) for draws in fading)
+    out = tmp_path / "out"
+    curves = {(out / f"tradeoff_dec_d{d}.csv").read_bytes() for d in distances}
+    assert len(curves) == 1
 
 
 def test_single_user_tradeoff_writes_strict_json(tmp_path, capsys):

@@ -441,6 +441,12 @@ def test_active_mask_of_the_wrong_shape_is_refused(fig_params):
         run_single(scenario, fig_params, active=np.ones((1, 3), dtype=bool))
 
 
+def test_fixed_matched_filter_targets_are_refused(fig_params):
+    scenario = orthogonal_scenario([50.0, 80.0])
+    with pytest.raises(ce.ConfigurationError, match="re-solved every iteration"):
+        run_single(scenario, fig_params, resolve_each_iteration=False)
+
+
 def test_dec_removal_never_raises_survivor_noise_enhancement():
     rng = np.random.default_rng(123)
     for _ in range(100):
@@ -518,18 +524,16 @@ def test_algorithm_and_receiver_validation(fig_params):
         run_single(scenario, fig_params, iterations=0)
 
 
-# (receiver, algorithm, resolve targets, K, max power in dBm, realizations of
-# seed 20260810).  Under the DEC baseline the rows end in exact cycles of
-# period 1, 2, 3 and 6 (realization 207 is one of the few with period 6);
-# under DEC alg1 with a 0 dBm cap rows 2 and 3 run three and two rounds; under
-# MF with re-solved targets rows 1 and 2 run three rounds, and row 54 ends in
-# a cycle of period 22, longer than the repeat window, so it runs all 500
-# iterations.
+# (receiver, algorithm, K, max power in dBm, realizations of seed 20260810).
+# Under the DEC baseline the rows end in exact cycles of period 1, 2, 3 and 6
+# (realization 207 is one of the few with period 6); under DEC alg1 with a
+# 0 dBm cap rows 2 and 3 run three and two rounds; under MF rows 1 and 2 run
+# three rounds, and row 54 ends in a cycle of period 22, longer than the
+# repeat window, so it runs all 500 iterations.
 EARLY_EXIT_CASES = {
-    "mf": ("mf", "alg1", True, 4, 10.0, [0, 1, 2, 3, 11, 54]),
-    "mf_fixed_targets": ("mf", "alg1", False, 4, 10.0, [0, 1, 2, 3, 9, 11]),
-    "dec_alg1": ("dec", "alg1", True, 6, 0.0, [0, 1, 2, 3, 4, 5]),
-    "dec_baseline": ("dec", "baseline", True, 3, 10.0, [2, 0, 10, 17, 4, 1, 14, 207]),
+    "mf": ("mf", "alg1", 4, 10.0, [0, 1, 2, 3, 11, 54]),
+    "dec_alg1": ("dec", "alg1", 6, 0.0, [0, 1, 2, 3, 4, 5]),
+    "dec_baseline": ("dec", "baseline", 3, 10.0, [2, 0, 10, 17, 4, 1, 14, 207]),
 }
 
 
@@ -544,7 +548,7 @@ def _cycle_periods(trajectory, iterations):
 
 def _early_exit_case(fig_params, case, iterations):
     """The case's stacked gains and correlations and a runner over them."""
-    receiver, algorithm, resolve, k, max_power_dbm, realizations = EARLY_EXIT_CASES[case]
+    receiver, algorithm, k, max_power_dbm, realizations = EARLY_EXIT_CASES[case]
     params = dataclasses.replace(fig_params, max_power=ce.dbm_to_watt(max_power_dbm))
     geometry = ce.RingGeometry(50.0, 200.0)
     scenarios = [
@@ -554,10 +558,10 @@ def _early_exit_case(fig_params, case, iterations):
     gain = np.stack([s.channel.gain_power for s in scenarios])
     corr = np.stack([s.codes.correlation for s in scenarios])
 
-    def run(gain, corr, trajectory=None):
+    def run(gain, corr, trajectory=None, active=None):
         return run_control_batch(
             gain, corr, receiver, algorithm, params, iterations=iterations,
-            resolve_each_iteration=resolve, trajectory=trajectory,
+            trajectory=trajectory, active=active,
         )
 
     return gain, corr, run
@@ -628,6 +632,33 @@ def test_early_exit_stops_within_one_period_past_the_first_repeat(fig_params):
         assert first < ran <= first + period
         assert (iterations - ran) % period == 0
     assert periods == {1, 2, 3, 6}
+
+
+def test_dec_users_out_of_play_hold_positive_zero_power(fig_params):
+    # The decorrelator SINR is a plain power / interference, which reads +0.0
+    # for a user masked out or removed only because such a user's power is
+    # exactly +0.0 at every iteration and its interference is 1.0.
+    iterations = 117
+    gain, corr, run = _early_exit_case(fig_params, "dec_alg1", iterations)
+    mask = np.ones(gain.shape, dtype=bool)
+    mask[::2, -1] = False  # every other row starts without its last user
+    removals = 0
+    for b in range(len(gain)):
+        path = []
+        result = run(gain[b : b + 1], corr[b : b + 1], path, mask[b : b + 1])
+        removed = result.removed[0]
+        removals += len(removed)
+        assert len(path) == result.rounds[0] * iterations
+        for r in range(result.rounds[0]):
+            out = ~mask[b]
+            out[removed[:r]] = True
+            for power in path[r * iterations : (r + 1) * iterations]:
+                assert np.all(power[0, out].view(np.int64) == 0)
+        out = ~result.active[0]
+        assert out.sum() == (not mask[b, -1]) + len(removed)
+        assert np.all(result.eff_interference[0, out] == 1.0)
+        assert np.all(result.sinr[0, out].view(np.int64) == 0)
+    assert removals >= 3
 
 
 def test_early_exit_keeps_settling_that_starts_on_the_anchor(monkeypatch, fig_params):

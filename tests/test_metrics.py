@@ -25,11 +25,6 @@ def test_gap_rejects_boundary_and_out_of_range():
         ce.sinr_gap(-1e-3)
 
 
-def test_gap_vector_input():
-    gaps = ce.sinr_gap(np.array([1e-3, 1e-6]))
-    assert gaps == pytest.approx([-1.5 / math.log(5e-3), -1.5 / math.log(5e-6)], rel=1e-12)
-
-
 def test_rate_and_spectral_efficiency():
     gap = ce.sinr_gap(1e-3)
     assert ce.rate(0.0, gap, 1e6) == 0.0
