@@ -13,8 +13,8 @@ where g is the SINR gap of the shared BER target.  Dividing the right-hand
 side through by I shows the root depends on I and p_c only via the ratio
 rho = p_c/I; the solver works in that form, which also makes the p_c=0
 interference invariance exact.  It is stateless: once per parameter set a
-table of the root over log rho gives every solve a start that depends on rho
-alone, and a fixed number of Newton steps from there gives the root.
+table over log rho gives every solve a start that depends on rho alone, from
+which one Newton step gives the root, and a threshold on rho gives its flag.
 """
 
 from __future__ import annotations
@@ -27,12 +27,9 @@ from .metrics import LN2, EEParams
 
 BRACKET_LOW = 1e-3
 BRACKET_MAX = 1e6
-# The start table holds log s* at TABLE_NODES uniform nodes of log rho over
-# [-TABLE_LOG_RHO, TABLE_LOG_RHO]; a solve interpolates it and takes
-# NEWTON_STEPS Newton steps from there.
+# The root table holds a cubic for log s* between each two of its uniform nodes of log rho.
 TABLE_LOG_RHO = 30.0
-TABLE_NODES = 1201
-NEWTON_STEPS = 3
+TABLE_NODES = 4801
 UNIMODAL_REL_TOL = 1e-12
 
 
@@ -71,23 +68,38 @@ def _stationarity(sinr, gap, packet_bits, cost_ratio, with_derivative=True):
 
 @functools.lru_cache(maxsize=None)
 def _root_table(gap, packet_bits):
-    """log s* at each start-table node of log rho, by bisection in log s.
+    """(4, TABLE_NODES - 1) cubic coefficients of log s* per cell, and the flag threshold.
 
-    The upper end lies past ``BRACKET_MAX``, so the table is smooth up to the
-    ceiling.  The residual at ``BRACKET_LOW`` rises with rho, so its sign at
-    rho = 0 checks the lower end for every input.
+    Column i holds c0..c3, in u over [0, 1], of the Hermite cubic on cell i
+    through log s* at its nodes, bisected in log s up past ``BRACKET_MAX``.
+    The residual at ``BRACKET_LOW`` rises with rho, so its sign at rho = 0
+    checks the lower end for every input.  At ``BRACKET_MAX`` e^(-s) is 0, so
+    the residual is a constant minus a constant over (BRACKET_MAX + rho): in
+    floats it is positive exactly from the threshold, the least such rho, on.
     """
     floor, _ = _stationarity(BRACKET_LOW, gap, packet_bits, 0.0, False)
     if not floor > 0.0:  # provably positive for a valid gap and packet size
         raise ValueError("stationarity residual not positive at the lower bracket end")
     rho = np.exp(np.linspace(-TABLE_LOG_RHO, TABLE_LOG_RHO, TABLE_NODES))
-    lo = np.full(TABLE_NODES, np.log(BRACKET_LOW))
-    hi = np.full(TABLE_NODES, np.log(100.0 * BRACKET_MAX))
+    lo, hi = np.log(BRACKET_LOW), np.log(100.0 * BRACKET_MAX)
     for _ in range(64):  # halves the bracket past double precision
         mid = 0.5 * (lo + hi)
         rising = _stationarity(np.exp(mid), gap, packet_bits, rho, False)[0] > 0.0
         lo, hi = np.where(rising, mid, lo), np.where(rising, hi, mid)
-    return lo
+    root = np.exp(lo)
+    _, f_s = _stationarity(root, gap, packet_bits, rho)
+    f_rho = np.log1p(gap * root) / LN2 * -np.expm1(-root) / (root + rho) ** 2
+    slope = -rho * f_rho / (root * f_s) * (2.0 * TABLE_LOG_RHO / (TABLE_NODES - 1))  # d log s*/du
+    y0, y1, m0, m1 = lo[:-1], lo[1:], slope[:-1], slope[1:]
+    coefficients = np.stack([y0, m0, 3.0 * (y1 - y0) - 2.0 * m0 - m1, m0 + m1 - 2.0 * (y1 - y0)])
+    # Bisect the bit patterns, which order non-negative doubles; the ends are never evaluated.
+    below, above = -1, int(np.array(np.inf).view(np.int64)) + 1
+    while above - below > 1:
+        middle = (below + above) // 2
+        ratio = np.array(middle).view(np.float64)
+        rising = _stationarity(BRACKET_MAX, gap, packet_bits, ratio, False)[0] > 0.0
+        below, above = (below, middle) if rising else (middle, above)
+    return coefficients, float(np.array(above).view(np.float64))
 
 
 def solve_optimal_sinr_batch(
@@ -98,32 +110,30 @@ def solve_optimal_sinr_batch(
     Returns ``(sinr_star, no_interior)``.  Entries whose residual is still
     positive at the bracket ceiling ``BRACKET_MAX`` (utility rising over the
     whole search range) get ``sinr_star = BRACKET_MAX`` and are flagged in
-    ``no_interior``.
+    ``no_interior``: exactly the entries whose rho reaches the threshold.
 
-    Each entry starts from the linear interpolation of log s* in the start
-    table of its parameters (built on first use) at its log rho, clipped to
-    the table, and takes ``NEWTON_STEPS`` Newton steps.  The start and the
-    steps depend on rho alone, so an entry's result depends on nothing else:
-    not on earlier solves, nor on what else is in the batch.
+    Each entry starts from its cell's cubic in the table of its parameters
+    (built on first use) at its log rho, clipped to the table, and takes one
+    Newton step, so its result depends on rho alone: not on earlier solves,
+    nor on the rest of its batch.
     """
     itf = np.asarray(eff_interference, dtype=float)
     if np.any(itf <= 0.0) or not np.all(np.isfinite(itf)):
         raise ValueError("eff_interference must be positive and finite")
     gap, packet_bits = params.gap(), params.packet_bits
-    table = _root_table(gap, packet_bits)
+    coefficients, threshold = _root_table(gap, packet_bits)
     rho = params.circuit_power / itf
-    with np.errstate(divide="ignore"):  # rho = 0 clips to the table's first node
-        log_rho = np.clip(np.log(rho), -TABLE_LOG_RHO, TABLE_LOG_RHO)
-    position = (log_rho + TABLE_LOG_RHO) * ((TABLE_NODES - 1) / (2.0 * TABLE_LOG_RHO))
-    cell = np.minimum(position.astype(int), TABLE_NODES - 2)
-    start = table[cell]
-    x = np.exp(start + (position - cell) * (table[cell + 1] - start))
-    # Entries past the ceiling may step anywhere; their result is replaced.
+    # rho = 0 clips to the first node; flagged entries may step anywhere and are replaced.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(NEWTON_STEPS):
-            residual, derivative = _stationarity(x, gap, packet_bits, rho)
-            x = x - residual / derivative
-    no_interior = _stationarity(BRACKET_MAX, gap, packet_bits, rho, False)[0] > 0.0
+        log_rho = np.clip(np.log(rho), -TABLE_LOG_RHO, TABLE_LOG_RHO)
+        position = (log_rho + TABLE_LOG_RHO) * ((TABLE_NODES - 1) / (2.0 * TABLE_LOG_RHO))
+        cell = np.minimum(position.astype(int), TABLE_NODES - 2)
+        u = position - cell
+        c0, c1, c2, c3 = np.take(coefficients, cell, axis=1)
+        x = np.exp(c0 + u * (c1 + u * (c2 + u * c3)))
+        residual, derivative = _stationarity(x, gap, packet_bits, rho)
+        x = x - residual / derivative
+    no_interior = rho >= threshold
     return np.where(no_interior, BRACKET_MAX, x), no_interior
 
 

@@ -224,12 +224,60 @@ def test_batch_solver_flag_does_not_depend_on_warm_start(guess, monkeypatch):
     params = make_params(circuit_power=ce.dbm_to_watt(7.0))
     itf = np.array([3.63e-10])
     cold, cold_flag = ce.solve_optimal_sinr_batch(itf, params)
-    start = np.full(optimize.TABLE_NODES, np.log(guess))
-    monkeypatch.setattr(optimize, "_root_table", lambda gap, packet_bits: start)
+    coefficients, threshold = optimize._root_table(params.gap(), params.packet_bits)
+    start = np.zeros_like(coefficients)
+    start[0] = np.log(guess)  # a constant cubic: every entry starts at guess
+    monkeypatch.setattr(optimize, "_root_table", lambda gap, packet_bits: (start, threshold))
     warm, warm_flag = ce.solve_optimal_sinr_batch(itf, params)
     assert cold_flag.tolist() == warm_flag.tolist() == [True]
     assert cold[0] <= BRACKET_MAX and warm[0] <= BRACKET_MAX
     assert warm[0] == cold[0]
+
+
+TABLE_SETS = [(80, 1e-3), (1, 1e-15), (1, 0.044), (20000, 1e-15), (20000, 0.044)]
+
+
+@pytest.mark.parametrize("packet_bits, ber", TABLE_SETS)
+def test_batch_solver_root_is_a_newton_fixed_point(packet_bits, ber):
+    # one Newton step from the table's cubic lands within rounding of the
+    # root: a second step moves no interior root by more than 24 ULP
+    params = make_params(packet_bits, 1, 1.0, ber)
+    itf = np.exp(np.linspace(-40.0, 40.0, 10_001))
+    stars, flags = ce.solve_optimal_sinr_batch(itf, params)
+    assert flags.any() and not flags.all()
+    rho = params.circuit_power / itf
+    residual, derivative = _stationarity(stars, params.gap(), float(packet_bits), rho)
+    again = stars - residual / derivative
+    moved = np.abs(again.view(np.int64) - stars.view(np.int64))[~flags]
+    assert moved.max() <= 24
+
+
+@pytest.mark.parametrize("packet_bits, ber", TABLE_SETS)
+def test_root_table_threshold_is_where_the_ceiling_residual_turns_positive(packet_bits, ber):
+    params = make_params(packet_bits, 1, 1.0, ber)
+    gap = params.gap()
+    _, threshold = optimize._root_table(gap, packet_bits)
+    below = np.nextafter(threshold, 0.0)
+    assert 0.0 < below < threshold < np.inf
+    assert _stationarity(BRACKET_MAX, gap, float(packet_bits), threshold, False)[0] > 0.0
+    assert not _stationarity(BRACKET_MAX, gap, float(packet_bits), below, False)[0] > 0.0
+    # the solver's flag switches between the same two doubles of rho
+    for rho, flagged in ((below, False), (threshold, True)):
+        at_rho = dataclasses.replace(params, circuit_power=rho)
+        stars, flags = ce.solve_optimal_sinr_batch(np.array([1.0]), at_rho)
+        assert flags.tolist() == [flagged]
+        assert stars[0] == BRACKET_MAX if flagged else stars[0] < BRACKET_MAX
+
+
+def test_root_tables_do_not_depend_on_build_order():
+    keys = [(make_params(p, 1, 0.0, b).gap(), p) for p, b in TABLE_SETS]
+
+    def build(order):
+        optimize._root_table.cache_clear()
+        tables = {key: optimize._root_table(*key) for key in order}
+        return {key: (c.tobytes(), np.float64(t).tobytes()) for key, (c, t) in tables.items()}
+
+    assert build(keys) == build(keys[::-1])
 
 
 def test_batch_solver_rejects_bad_interference():
