@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .channel import (
     ChannelState,
-    FixedGeometry,
     RingGeometry,
     draw_channel,
     draw_placement,

@@ -32,28 +32,6 @@ class RingGeometry:
 
 
 @dataclass(frozen=True)
-class FixedGeometry:
-    """One interest user at a set distance plus interferers at listed distances."""
-
-    interest_distance: float
-    interferer_distances: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "interferer_distances", tuple(float(d) for d in self.interferer_distances)
-        )
-        if self.interest_distance <= 0.0 or any(d <= 0.0 for d in self.interferer_distances):
-            raise ConfigurationError("all distances must be positive")
-
-    @property
-    def distances(self) -> tuple[float, ...]:
-        return (self.interest_distance, *self.interferer_distances)
-
-
-Geometry = RingGeometry | FixedGeometry
-
-
-@dataclass(frozen=True)
 class ChannelState:
     """Complex uplink gains and their squared magnitudes (gain_power = |h|^2)."""
 
@@ -62,29 +40,16 @@ class ChannelState:
 
 
 def draw_placement(
-    geometry: Geometry,
+    geometry: RingGeometry,
     user_count: int,
     rng: int | None | np.random.Generator = None,
 ) -> np.ndarray:
-    """Draw user distances from the base station in metres, one per user.
-
-    Fixed geometry returns the configured distances verbatim (interest user
-    first); ring geometry draws i.i.d. uniform radii in
-    [inner_radius, outer_radius].
-    """
+    """Draw user distances from the base station in metres, one per user:
+    i.i.d. uniform radii in [inner_radius, outer_radius]."""
     if user_count < 1:
         raise ConfigurationError("user_count must be >= 1")
-    if isinstance(geometry, FixedGeometry):
-        distances = geometry.distances
-        if len(distances) != user_count:
-            raise ConfigurationError(
-                f"fixed geometry describes {len(distances)} users, requested {user_count}"
-            )
-        return np.asarray(distances, dtype=float)
-    if isinstance(geometry, RingGeometry):
-        gen = np.random.default_rng(rng)
-        return gen.uniform(geometry.inner_radius, geometry.outer_radius, size=user_count)
-    raise ConfigurationError(f"unknown geometry {geometry!r}")
+    gen = np.random.default_rng(rng)
+    return gen.uniform(geometry.inner_radius, geometry.outer_radius, size=user_count)
 
 
 def draw_channel(

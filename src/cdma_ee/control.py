@@ -286,6 +286,8 @@ def run_control_batch(
         raise ConfigurationError(f"receiver must be one of {RECEIVERS}")
     if iterations < 1:
         raise ConfigurationError("iterations must be >= 1")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigurationError("alpha must lie in (0, 1)")
 
     gain_power = np.asarray(gain_power, dtype=float)
     check_gain_power(gain_power, params.noise_power)

@@ -35,7 +35,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .channel import FADING_KINDS, FixedGeometry, Geometry, RingGeometry, draw_placement
+from .channel import FADING_KINDS, RingGeometry
 from .control import ALGORITHMS, mf_width, run_control_batch
 from .errors import ConfigurationError
 from .metrics import EEParams, dbm_to_watt, global_ee, rate
@@ -64,10 +64,7 @@ PAIRABLE_KEYS = {*UNHASHED_KEYS, "algorithm", "receiver", "min_rate"}
 # The sections of a YAML config document, and the key of a geometry's kind.
 SYSTEM, RADIO, CONTROL, TRADEOFF, KIND = "system", "radio", "control", "tradeoff", "kind"
 # Geometry kind -> its class and the document key of each of its fields.
-GEOMETRIES = {
-    "ring": (RingGeometry, ("inner_radius_m", "outer_radius_m")),
-    "fixed": (FixedGeometry, ("interest_distance_m", "interferer_distances_m")),
-}
+GEOMETRIES = {"ring": (RingGeometry, ("inner_radius_m", "outer_radius_m"))}
 
 
 def _key(default, section: str | None = None, key: str | None = None, power: bool = False):
@@ -95,7 +92,7 @@ class ScenarioConfig:
     user_counts: tuple[int, ...] = _key(tuple(range(2, 16)), SYSTEM)
     receiver: str = _key("mf", SYSTEM)
     algorithm: str = _key("alg1", SYSTEM)
-    geometry: Geometry = _key(RingGeometry(50.0, 200.0), SYSTEM)
+    geometry: RingGeometry = _key(RingGeometry(50.0, 200.0), SYSTEM)
     path_loss_exponent: float = _key(2.0, SYSTEM)
     fading: str = _key("rayleigh", SYSTEM)
     bandwidth: float = _key(1e6, RADIO, "bandwidth_hz")
@@ -282,21 +279,19 @@ def _refusal(config: ScenarioConfig, k_users: int) -> str | None:
 def run_block(config: ScenarioConfig, user_counts: list[int], realizations: list[int]):
     """Draw a block of realizations once and run the configured scheme at every K.
 
-    Refuses (``ConfigurationError``) a K that the receiver or a fixed geometry
-    cannot take, before any draw.  Each realization is drawn at the largest of
-    ``user_counts``, and each K runs on the first K users of every draw.  This
-    relies on the prefix property of the draws (see ``seeding``): those users'
-    draws are the ones a fresh draw at K gives.  Under the matched filter
-    every K runs in one control batch, whose rows are (K, realization) pairs
-    on those draws, each starting with its first K users active; under the
-    decorrelator each K runs as its own batch.  Yields ``(K, seeds,
-    scenarios, result)`` per K in ``user_counts`` order.
+    Refuses (``ConfigurationError``) a K that the receiver cannot take, before
+    any draw.  Each realization is drawn at the largest of ``user_counts``, and
+    each K runs on the first K users of every draw.  This relies on the prefix
+    property of the draws (see ``seeding``): those users' draws are the ones a
+    fresh draw at K gives.  Under the matched filter every K runs in one
+    control batch, whose rows are (K, realization) pairs on those draws, each
+    starting with its first K users active; under the decorrelator each K runs
+    as its own batch.  Yields ``(K, seeds, scenarios, result)`` per K in
+    ``user_counts`` order.
     """
     for k_users in user_counts:
         if reason := _refusal(config, k_users):
             raise ConfigurationError(reason)
-        if isinstance(config.geometry, FixedGeometry):
-            draw_placement(config.geometry, k_users)
     seeds = [realization_seed(config.seed, r) for r in realizations]
     draws = [
         draw_scenario(
@@ -695,7 +690,7 @@ def _check_keys(data, known, path: str, required=()) -> dict:
 
 def _coerce(value, hint, path: str):
     """A document value as a field of type ``hint``; errors name ``path``."""
-    if hint == Geometry:
+    if hint is RingGeometry:
         kind = value.get(KIND) if isinstance(value, dict) else None
         if kind not in GEOMETRIES:
             raise ConfigurationError(f"{_path(path, KIND)} must be one of {tuple(GEOMETRIES)}")

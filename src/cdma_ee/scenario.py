@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelState, Geometry, draw_channel, draw_placement
+from .channel import ChannelState, RingGeometry, draw_channel, draw_placement
 from .errors import ConfigurationError
 from .spreading import SpreadingCodeSet, generate_codes
 
@@ -27,10 +27,6 @@ class NetworkScenario:
         if self.receiver not in RECEIVERS:
             raise ConfigurationError(f"receiver must be one of {RECEIVERS}")
 
-    @property
-    def user_count(self) -> int:
-        return self.placement.size
-
     def first_users(self, k: int) -> NetworkScenario:
         """The draws of the first ``k`` users, as views of this draw.
 
@@ -47,7 +43,7 @@ class NetworkScenario:
 
 
 def draw_scenario(
-    geometry: Geometry,
+    geometry: RingGeometry,
     user_count: int,
     processing_gain: int,
     receiver: str,

@@ -209,7 +209,7 @@ def test_criterion_04_decorrelator_identities():
 
 def test_criterion_05_verhulst_convergence():
     params = fig_params()
-    placement = ce.draw_placement(ce.FixedGeometry(50.0, ()), 1)
+    placement = np.array([50.0])
     channel = ce.draw_channel(placement, 2.0, "none")
     codes = ce.generate_codes(15, 1, SEED)
     scenario = ce.NetworkScenario(
@@ -280,7 +280,7 @@ def test_criterion_07_tradeoff_gap_ordering():
     codes = ce.generate_codes(15, 3, np.random.default_rng(SEED))
     gaps = {}
     for distance in (200.0, 100.0, 80.0):
-        placement = ce.draw_placement(ce.FixedGeometry(50.0, (distance, distance)), 3)
+        placement = np.array([50.0, distance, distance])
         curve = ce.sweep_tradeoff(
             placement,
             codes,

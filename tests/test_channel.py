@@ -4,23 +4,6 @@ import pytest
 import cdma_ee as ce
 
 
-def test_fixed_geometry_returns_distances_verbatim():
-    distances = ce.draw_placement(ce.FixedGeometry(50.0, (80.0, 100.0, 200.0)), 4)
-    assert distances.tolist() == [50.0, 80.0, 100.0, 200.0]
-
-
-def test_fixed_geometry_user_count_mismatch():
-    with pytest.raises(ce.ConfigurationError):
-        ce.draw_placement(ce.FixedGeometry(50.0, (80.0,)), 3)
-
-
-def test_fixed_geometry_rejects_nonpositive_distance():
-    with pytest.raises(ce.ConfigurationError):
-        ce.FixedGeometry(-50.0, ())
-    with pytest.raises(ce.ConfigurationError):
-        ce.FixedGeometry(50.0, (0.0,))
-
-
 def test_ring_geometry_validation():
     with pytest.raises(ce.ConfigurationError):
         ce.RingGeometry(0.0, 200.0)
@@ -53,14 +36,12 @@ def test_placement_determinism():
 
 
 def test_path_loss_without_fading():
-    distances = ce.draw_placement(ce.FixedGeometry(50.0, ()), 1)
-    channel = ce.draw_channel(distances, 2.0, "none")
+    channel = ce.draw_channel(np.array([50.0]), 2.0, "none")
     assert channel.gain_power[0] == pytest.approx(4e-4, rel=1e-12)
 
 
 def test_path_loss_ratio_without_fading():
-    distances = ce.draw_placement(ce.FixedGeometry(50.0, (200.0,)), 2)
-    channel = ce.draw_channel(distances, 2.0, "none")
+    channel = ce.draw_channel(np.array([50.0, 200.0]), 2.0, "none")
     assert channel.gain_power[0] / channel.gain_power[1] == pytest.approx(16.0, rel=1e-12)
 
 

@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -245,6 +246,22 @@ def test_solve_matches_the_row_of_a_run(tmp_path, capsys, receiver):
         assert f"rounds={row['rounds']} " in summary and summary.endswith(f"removed=[{removed}]")
 
 
+def test_solve_of_a_refused_decorrelator_exits_with_numeric_code(tmp_path, capsys):
+    # At N = 4, codes of seed 3 make some K = 4 correlation matrices singular or ill-conditioned.
+    config = write_config(
+        tmp_path, seed=3, realizations=20,
+        system={"processing_gain": 4, "user_counts": [2, 4], "receiver": "dec"},
+    )
+    assert main(["run", "--config", str(config)]) == 0
+    errors = json.loads((tmp_path / "out/metadata.json").read_text())["errors"]
+    assert errors
+    refused = errors[0]
+    capsys.readouterr()
+    argv = ["--k", str(refused["k_users"]), "--realization", str(refused["realization"])]
+    assert main(["solve", "--config", str(config), *argv]) == 4
+    assert capsys.readouterr().err == f"numerical error: {refused['error']}\n"
+
+
 def test_missing_config_exits_with_config_code(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == 2
     assert "configuration error" in capsys.readouterr().err
@@ -356,9 +373,9 @@ def test_preset_configs_are_reachable(tmp_path):
         ({"system": {"geometry": {"kind": "ring", "inner_radius_m": 300.0,
                                   "outer_radius_m": 200.0}}},
          "system.geometry: ring needs inner_radius < outer_radius"),
-        ({"system": {"geometry": {"kind": "fixed", "interest_distance_m": 0.0,
+        ({"system": {"geometry": {"kind": "fixed", "interest_distance_m": 50.0,
                                   "interferer_distances_m": [80.0]}}},
-         "system.geometry: all distances must be positive"),
+         "system.geometry.kind must be one of ('ring',)"),
         ({"tradeoff": {"interferer_distances_m": []}},
          "tradeoff.interferer_distances_m must not be empty"),
         ({"control": {"count_removed_circuit_power": False}},
@@ -420,6 +437,17 @@ def _add_error_without_k(run_dir):
     (run_dir / "metadata.json").write_text(json.dumps(meta))
 
 
+def _errors_not_a_list(run_dir):
+    meta = json.loads((run_dir / "metadata.json").read_text())
+    meta["errors"] = {"k_users": 2}
+    (run_dir / "metadata.json").write_text(json.dumps(meta))
+
+
+def _append_raw_line(run_dir, line):
+    with (run_dir / "raw.csv").open("a") as handle:
+        handle.write(line + "\n")
+
+
 def _set_raw_cell(run_dir, row, column, value):
     """Overwrite one cell of raw.csv; row 0 is the header."""
     path = run_dir / "raw.csv"
@@ -444,9 +472,13 @@ def _set_raw_cell(run_dir, row, column, value):
          "metadata.json", "unknown config key(s): control.resolve_targets_each_iteration"),
         (lambda d: _edit_config(d, _set_removed_key("count_removed_circuit_power", False)),
          "metadata.json", "unknown config key(s): control.count_removed_circuit_power"),
+        # Rows of K = 2 and 3 at one realization fill lines 2 and 3.
+        (lambda d: _append_raw_line(d, "2,0"), "raw.csv", "line 4: wrong cell count"),
+        (_errors_not_a_list, "metadata.json", '"errors" must be a list'),
     ],
     ids=["renamed_column", "no_config", "converged_yes", "error_without_k", "echo_without_ber",
-         "echo_in_dbm", "echo_with_resolve_targets", "echo_with_removed_circuit"],
+         "echo_in_dbm", "echo_with_resolve_targets", "echo_with_removed_circuit",
+         "short_raw_line", "errors_not_a_list"],
 )
 def test_compare_rejects_malformed_run(tmp_path, capsys, damage, file, named):
     assert main(["run", "--config", str(write_config(tmp_path)), "--realizations", "1"]) == 0
@@ -455,6 +487,25 @@ def test_compare_rejects_malformed_run(tmp_path, capsys, damage, file, named):
     assert main(["compare", "--a", str(run_dir), "--b", str(run_dir)]) == 2
     err = capsys.readouterr().err
     assert str(run_dir / file) in err and named in err
+
+
+def test_compare_of_a_directory_without_raw_csv_exits_with_io_code(tmp_path, capsys):
+    assert main(["run", "--config", str(write_config(tmp_path)), "--realizations", "1"]) == 0
+    run_dir = tmp_path / "out"
+    (run_dir / "raw.csv").unlink()
+    assert main(["compare", "--a", str(run_dir), "--b", str(run_dir)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and f"{run_dir} does not contain raw.csv" in err
+
+
+def test_compare_refuses_runs_whose_draws_differ(tmp_path, capsys):
+    assert main(["run", "--config", str(write_config(tmp_path)), "--realizations", "1"]) == 0
+    run_dir, other = tmp_path / "out", tmp_path / "other"
+    shutil.copytree(run_dir, other)
+    _set_raw_cell(other, 2, "draw_checksum", "0" * 16)  # row 2: K = 3, realization 0
+    assert main(["compare", "--a", str(run_dir), "--b", str(other)]) == 2
+    err = capsys.readouterr().err
+    assert "refusing comparison: draws differ at K=3, realization 0" in err
 
 
 @pytest.mark.parametrize("command", ["run", "solve", "tradeoff"])

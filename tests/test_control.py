@@ -19,7 +19,7 @@ def orthogonal_scenario(distances, receiver="mf"):
         [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=np.int64
     ).T
     codes = codes_from_signs(base[:, :k])
-    placement = ce.draw_placement(ce.FixedGeometry(distances[0], tuple(distances[1:])), k)
+    placement = np.asarray(distances, dtype=float)
     channel = ce.draw_channel(placement, 2.0, "none")
     return ce.NetworkScenario(placement=placement, channel=channel, codes=codes, receiver=receiver)
 
@@ -240,8 +240,14 @@ def test_baseline_correlated_fixed_point_oracle(fig_params):
         noise_power=1e-12,
         ber=1e-3,
     )
-    scenario = ce.draw_scenario(
-        ce.FixedGeometry(50.0, (60.0, 2000.0)), 3, 15, "mf", seed=4, fading="none"
+    # The codes are those draw_scenario(..., seed=4) draws: its third substream.
+    placement = np.array([50.0, 60.0, 2000.0])
+    codes_rng = np.random.default_rng(np.random.SeedSequence(4).spawn(3)[2])
+    scenario = ce.NetworkScenario(
+        placement=placement,
+        channel=ce.draw_channel(placement, 2.0, "none"),
+        codes=ce.generate_codes(15, 3, codes_rng),
+        receiver="mf",
     )
     result = run_single(scenario, params, "baseline")
     assert result.power[0, 2] == params.max_power
@@ -439,6 +445,22 @@ def test_active_mask_of_the_wrong_shape_is_refused(fig_params):
     scenario = orthogonal_scenario([50.0, 80.0])
     with pytest.raises(ce.ConfigurationError, match="active must have shape"):
         run_single(scenario, fig_params, active=np.ones((1, 3), dtype=bool))
+
+
+def test_alpha_is_checked_when_no_row_takes_a_step(fig_params):
+    # No Verhulst step runs: every MF user starts removed, or the one DEC row is refused.
+    scenario = orthogonal_scenario([50.0, 80.0])
+    gain = scenario.channel.gain_power[None]
+    cases = [
+        ("mf", scenario.codes.correlation[None], np.zeros((1, 2), dtype=bool)),
+        ("dec", np.ones((1, 2, 2)), None),
+    ]
+    for receiver, corr, active in cases:
+        for alpha in (2.0, 0.0):
+            with pytest.raises(ce.ConfigurationError, match=r"alpha must lie in \(0, 1\)"):
+                run_control_batch(
+                    gain, corr, receiver, "alg1", fig_params, alpha=alpha, active=active
+                )
 
 
 def test_fixed_matched_filter_targets_are_refused(fig_params):

@@ -59,8 +59,7 @@ def test_config_from_dict_with_dbm_and_range():
             "user_counts": {"start": 2, "stop": 5},
             "receiver": "dec",
             "algorithm": "alg2",
-            "geometry": {"kind": "fixed", "interest_distance_m": 50.0,
-                         "interferer_distances_m": [80.0, 100.0]},
+            "geometry": {"kind": "ring", "inner_radius_m": 20.0, "outer_radius_m": 100.0},
         },
         "radio": {"noise_power_dbm": -90.0, "max_power_dbm": 10.0, "circuit_power_w": 0.0,
                   "min_rate_bps": 1e6},
@@ -70,7 +69,7 @@ def test_config_from_dict_with_dbm_and_range():
     assert config.user_counts == (2, 3, 4, 5)
     assert config.noise_power == pytest.approx(1e-12)
     assert config.circuit_power == 0.0
-    assert isinstance(config.geometry, ce.FixedGeometry)
+    assert config.geometry == ce.RingGeometry(20.0, 100.0)
     assert config.alpha == 0.25
     assert config.min_rate == 1e6
 
@@ -114,22 +113,20 @@ def test_unknown_config_raises():
 
 
 def test_run_experiment_single_user_hits_analytic_optimum():
-    config = tiny_config(
-        user_counts=(1,),
-        geometry=ce.FixedGeometry(50.0, ()),
-        fading="none",
-        realizations=2,
-        iterations=500,
-    )
+    config = tiny_config(user_counts=(1,), fading="none", realizations=2, iterations=500)
     report = run_experiment(config)
     assert all(row.outage_fraction == 0.0 for row in report.rows)
     params = config.ee_params()
     gap = params.gap()
-    itf = params.noise_power / (50.0**-2.0)
     grid = np.geomspace(1e-3, 1e7, 300_000)
-    star = grid[np.argmax(ce.utility(grid * itf, grid, params, gap))]
-    best = float(ce.utility(star * itf, star, params, gap))
     for row in report.rows:
+        # The row's own draw: its user's distance on the ring sets the interference.
+        scenario = ce.draw_scenario(
+            config.geometry, 1, config.processing_gain, "mf", row.seed, fading="none"
+        )
+        itf = params.noise_power / scenario.channel.gain_power[0]
+        star = grid[np.argmax(ce.utility(grid * itf, grid, params, gap))]
+        best = float(ce.utility(star * itf, star, params, gap))
         assert abs(row.global_ee - best) / best < 1e-3
 
 
@@ -254,32 +251,28 @@ def test_mf_runs_cut_into_blocks_at_the_value_budget_change_no_row(monkeypatch):
 
 def test_emit_and_read_round_trip(tmp_path):
     # 30 iterations leave rows with a removal and no stabilized iteration.
-    cases = [(ce.RingGeometry(50.0, 200.0), (2, 3)), (ce.FixedGeometry(50.0, (80.0, 120.0)), (3,))]
-    for case, (geometry, user_counts) in enumerate(cases):
-        config = tiny_config(
-            realizations=2, geometry=geometry, user_counts=user_counts, iterations=30
-        )
-        report = run_experiment(config)
-        assert any(row.removed_order for row in report.rows)
-        assert any(row.stabilized_iteration is None for row in report.rows)
-        first, second = tmp_path / f"out{case}", tmp_path / f"again{case}"
-        paths = emit_results(report, first)
-        loaded = read_report(first)
-        assert loaded.rows == report.rows
-        assert loaded.aggregates == report.aggregates
-        assert loaded.config == config
-        meta = json.loads(paths["metadata"].read_text())
-        assert config_from_dict(meta["config"]) == config
-        assert meta["seed"] == config.seed
-        assert meta["config_hash"] == config.config_hash()
-        assert set(meta["draw_checksums"]) == {str(k) for k in user_counts}
-        # emit -> read -> emit writes the same bytes.
-        emit_results(loaded, second)
-        for name in ("raw.csv", "aggregate.csv"):
-            assert (second / name).read_bytes() == (first / name).read_bytes()
-        meta_again = json.loads((second / "metadata.json").read_text())
-        meta.pop("timestamp"), meta_again.pop("timestamp")
-        assert meta_again == meta
+    config = tiny_config(realizations=2, iterations=30)
+    report = run_experiment(config)
+    assert any(row.removed_order for row in report.rows)
+    assert any(row.stabilized_iteration is None for row in report.rows)
+    first, second = tmp_path / "out", tmp_path / "again"
+    paths = emit_results(report, first)
+    loaded = read_report(first)
+    assert loaded.rows == report.rows
+    assert loaded.aggregates == report.aggregates
+    assert loaded.config == config
+    meta = json.loads(paths["metadata"].read_text())
+    assert config_from_dict(meta["config"]) == config
+    assert meta["seed"] == config.seed
+    assert meta["config_hash"] == config.config_hash()
+    assert set(meta["draw_checksums"]) == {str(k) for k in config.user_counts}
+    # emit -> read -> emit writes the same bytes.
+    emit_results(loaded, second)
+    for name in ("raw.csv", "aggregate.csv"):
+        assert (second / name).read_bytes() == (first / name).read_bytes()
+    meta_again = json.loads((second / "metadata.json").read_text())
+    meta.pop("timestamp"), meta_again.pop("timestamp")
+    assert meta_again == meta
 
 
 def test_emit_rerun_is_byte_identical(tmp_path):

@@ -394,7 +394,8 @@ def test_verify_nash_batched_restarts_match_single_runs(receiver):
         result, scenario, params, algorithm="alg1", restarts=restarts,
         rng=np.random.default_rng(2),
     )
-    draws = np.random.default_rng(2).uniform(-4.0, 0.0, size=(restarts, scenario.user_count))
+    users = scenario.channel.gain_power.size
+    draws = np.random.default_rng(2).uniform(-4.0, 0.0, size=(restarts, users))
     starts = params.noise_power * 10.0**draws
     batch = ce.run_control_batch(
         np.repeat(scenario.channel.gain_power[None], restarts, axis=0),

@@ -192,7 +192,6 @@ def test_fading_none_collapses_draw_count(fig_params):
 
 def test_single_user_sweep_has_nan_coupling(fig_params):
     codes = ce.generate_codes(15, 1, 0)
-    distances = ce.draw_placement(ce.FixedGeometry(50.0, ()), 1)
-    curve = ce.sweep_tradeoff(distances, codes, fig_params, "mf", (), fading="none")
+    curve = ce.sweep_tradeoff(np.array([50.0]), codes, fig_params, "mf", (), fading="none")
     assert np.isnan(curve.coupling)
     assert curve.se_monotone
