@@ -39,7 +39,7 @@ from .errors import ConfigurationError, ReceiverUnavailableError
 from .metrics import EEParams, rate
 from .optimize import solve_optimal_sinr_batch
 from .scenario import RECEIVERS
-from .spreading import dec_eff_interference, mf_mai_weights, mf_sinr
+from .spreading import _mf_sinr, dec_eff_interference, mf_mai_weights
 
 ALGORITHMS = ("alg1", "alg2", "baseline")
 
@@ -109,25 +109,34 @@ def verhulst_step(power, sinr, target_sinr, alpha, max_power):
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError("alpha must lie in (0, 1)")
-    power = np.asarray(power, dtype=float)
-    target_sinr = np.asarray(target_sinr, dtype=float)
-    safe_target = np.where(target_sinr > 0.0, target_sinr, 1.0)
-    ratio = np.asarray(sinr, dtype=float) / safe_target
-    updated = (1.0 + alpha) * power - alpha * ratio * power
-    updated = np.clip(updated, 0.0, max_power)
-    return np.where(target_sinr > 0.0, updated, 0.0)
+    power, sinr, target_sinr = np.broadcast_arrays(power, sinr, target_sinr)
+    return _verhulst(power, sinr, *_switches(target_sinr), alpha, max_power)
+
+
+def _switches(target_sinr):
+    """The update's SINR divisor, 1 where a target is not positive, and its off users or None."""
+    off = ~(target_sinr > 0.0)
+    return np.where(off, 1.0, target_sinr), (off if off.any() else None)
+
+
+def _verhulst(power, sinr, divisor, off, alpha, max_power):
+    """``verhulst_step`` of same-shape operands, given ``_switches``, in its own temporaries."""
+    drop = sinr / divisor
+    drop *= alpha
+    drop *= power  # alpha * (sinr / target) * power, rounded as written out
+    updated = np.multiply(power, 1.0 + alpha, out=np.empty(power.shape))
+    updated -= drop
+    np.clip(updated, 0.0, max_power, out=updated)
+    if off is not None:
+        updated[off] = 0.0
+    return updated
 
 
 def _settled(sinr, prev_sinr):
     """Rows whose SINRs all moved by less than ``SINR_STABLE_REL_TOL``."""
-    shift = np.abs(sinr - prev_sinr) / np.maximum(prev_sinr, 1e-300)  # SINRs are >= 0
-    return shift.max(axis=1) < SINR_STABLE_REL_TOL
-
-
-def _movement(before, after, noise):
-    """Largest relative power movement of each row, floored at the noise power."""
-    movement = np.abs(after - before) / np.maximum(before, noise)
-    return movement.max(axis=1)
+    shift = sinr - prev_sinr  # in place below: this runs on every iteration
+    np.divide(np.abs(shift, out=shift), np.maximum(prev_sinr, 1e-300), out=shift)  # SINRs >= 0
+    return (shift < SINR_STABLE_REL_TOL).all(axis=1)  # a NaN shift is unsettled
 
 
 def _batch_round(
@@ -161,12 +170,13 @@ def _batch_round(
     """
     batch, users = gain_power.shape
     noise = params.noise_power
+    padded = None if weights is None else np.zeros((batch, weights.shape[-1]))
 
     def observe(power, inputs):
         gain, mai_weights, itf, _ = inputs
-        if mai_weights is not None:
-            return mf_sinr(power, gain, mai_weights, noise)
-        return power / itf, itf
+        if mai_weights is None:
+            return power / itf, itf
+        return _mf_sinr(power, gain, mai_weights, noise, padded[: len(power)])  # see mf_width
 
     def take(arrays, rows):
         return tuple(None if a is None else a[rows] for a in arrays)
@@ -174,11 +184,9 @@ def _batch_round(
     power = np.where(active, initial_power, 0.0)
     targets = np.zeros((batch, users))
     flagged = np.zeros(batch, dtype=bool)
-    final_power = np.empty((batch, users))
-    final_targets = np.empty((batch, users))
-    stabilized = np.empty(batch, dtype=int)
+    final_power, final_targets = (np.empty((batch, users)) for _ in range(2))
+    stabilized, ran = (np.empty(batch, dtype=int) for _ in range(2))
     last_change = np.empty(batch)
-    ran = np.empty(batch, dtype=int)
 
     # Live rows (indices into the sub-batch) and their compacted inputs and state.
     live = np.arange(batch)
@@ -195,8 +203,9 @@ def _batch_round(
             act = inputs[3]  # only active users are solved
             targets[act], no_interior = solve_optimal_sinr_batch(eff_itf[act], params)
             flagged[live[active_row[no_interior]]] = True
+            divisor, off = _switches(targets)  # fixed for a decorrelator round
 
-        updated = verhulst_step(power, sinr, targets, alpha, params.max_power)
+        updated = _verhulst(power, sinr, divisor, off, alpha, params.max_power)
         if prev_sinr is not None:
             settled = _settled(sinr, prev_sinr)
             stab = np.where(settled, np.where(stab < 0, it, stab), -1)
@@ -209,7 +218,8 @@ def _batch_round(
             left = live[leaving]
             final_power[left] = updated[leaving]
             final_targets[left] = targets[leaving]
-            last_change[left] = _movement(power[leaving], updated[leaving], noise)
+            was = power[leaving]  # each row's largest movement, relative to a noise floor
+            last_change[left] = (np.abs(updated[leaving] - was) / np.maximum(was, noise)).max(1)
             settled_from = stab[leaving]
             late = settled_from > step - period[leaving]
             stabilized[left] = np.where(late, settled_from + iterations - step, settled_from)
@@ -220,8 +230,8 @@ def _batch_round(
                 break
             inputs = take(inputs, keep)
             active_row = np.nonzero(inputs[3])[0]
-            updated, targets, sinr, stab, stop, period, anchor = take(
-                (updated, targets, sinr, stab, stop, period, anchor), keep
+            updated, targets, sinr, stab, stop, period, anchor, divisor, off = take(
+                (updated, targets, sinr, stab, stop, period, anchor, divisor, off), keep
             )
         prev_sinr = sinr
         power = updated
@@ -245,9 +255,7 @@ def _removal_candidates(algorithm, sinr, targets, active, rates, min_rate):
     below = active & (targets > 0.0) & (sinr < targets * (1.0 - REMOVAL_SINR_REL_TOL))
     if algorithm == "alg2":
         below &= rates < min_rate
-    elif algorithm == "baseline":
-        below &= False
-    return below
+    return below & (algorithm != "baseline")
 
 
 def run_control_batch(
@@ -303,8 +311,12 @@ def run_control_batch(
     if receiver == "mf":
         weights = np.zeros((batch, users, mf_width(users)))
         weights[..., :users] = mf_mai_weights(correlation)
+    if not params.noise_power > 0.0:
+        raise ConfigurationError("noise_power must be positive")
     start = params.noise_power if initial_power is None else initial_power
     base_power = np.broadcast_to(np.asarray(start, dtype=float), (batch, users))
+    if not np.all((base_power >= 0.0) & (base_power < np.inf)):
+        raise ConfigurationError("initial_power must be non-negative and finite")
 
     removed: list[list[int]] = [[] for _ in range(batch)]
     rounds = np.zeros(batch, dtype=int)

@@ -118,7 +118,7 @@ def solve_optimal_sinr_batch(
     nor on the rest of its batch.
     """
     itf = np.asarray(eff_interference, dtype=float)
-    if np.any(itf <= 0.0) or not np.all(np.isfinite(itf)):
+    if not (itf.min(initial=np.inf) > 0.0 and itf.max(initial=0.0) < np.inf):  # NaN too
         raise ValueError("eff_interference must be positive and finite")
     gap, packet_bits = params.gap(), params.packet_bits
     coefficients, threshold = _root_table(gap, packet_bits)

@@ -80,13 +80,6 @@ def decorrelator_load_error(user_count: int, processing_gain: int) -> str | None
     return None
 
 
-def _check_powers(powers: np.ndarray) -> np.ndarray:
-    powers = np.asarray(powers, dtype=float)
-    if np.any(powers < 0.0):
-        raise ValueError("transmit powers must be non-negative")
-    return powers
-
-
 def _check_noise(noise_power: float) -> None:
     if noise_power <= 0.0:
         raise ValueError("noise_power must be positive")
@@ -114,11 +107,21 @@ def mf_sinr(power, gain_power, weights, noise_power: float):
     is computed on its own, so a realization's values do not depend on what
     else is in the batch.
     """
-    power = _check_powers(power)
+    power = np.asarray(power, dtype=float)
+    if np.any(power < 0.0):
+        raise ValueError("transmit powers must be non-negative")
     _check_noise(noise_power)
-    received = padded = power * gain_power
-    if (pad := weights.shape[-1] - received.shape[-1]) > 0:
-        padded = np.concatenate((received, np.zeros((*received.shape[:-1], pad))), axis=-1)
+    return _mf_sinr(power, gain_power, weights, noise_power)
+
+
+def _mf_sinr(power, gain_power, weights, noise_power: float, padded=None):
+    """Unchecked ``mf_sinr``; ``padded``, zeros as wide as ``weights``, gets the received powers."""
+    if padded is None:
+        received = padded = power * gain_power
+        if (pad := weights.shape[-1] - received.shape[-1]) > 0:
+            padded = np.concatenate((received, np.zeros((*received.shape[:-1], pad))), axis=-1)
+    else:
+        received = np.multiply(power, gain_power, out=padded[:, : power.shape[-1]])
     mai = np.einsum("bkj,bj->bk", weights, padded)
     denominator = mai + noise_power
     return received / denominator, denominator / gain_power

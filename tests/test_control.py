@@ -54,6 +54,29 @@ def test_verhulst_alpha_validation():
         ce.verhulst_step(np.array([1e-3]), np.array([1.0]), np.array([1.0]), 1.0, 1e-2)
 
 
+def test_verhulst_step_matches_the_written_out_update_bit_for_bit():
+    rng = np.random.default_rng(26)
+    alpha, max_power = 0.5, 1e-2
+    power = rng.uniform(0.0, max_power, size=(40, 9))
+    power[0, 0] = 0.0
+    sinr = rng.uniform(0.0, 30.0, size=power.shape)
+    target = rng.uniform(0.5, 20.0, size=power.shape)
+    target[rng.random(power.shape) < 0.2] = 0.0  # switched-off users
+    sinr[:, 1] = 0.0  # far below target: the update overshoots the cap
+    inputs = [a.copy() for a in (power, sinr, target)]
+
+    updated = ce.verhulst_step(power, sinr, target, alpha, max_power)
+
+    safe_target = np.where(target > 0.0, target, 1.0)
+    written = (1.0 + alpha) * power - alpha * (sinr / safe_target) * power
+    expected = np.where(target > 0.0, np.clip(written, 0.0, max_power), 0.0)
+    assert updated.tobytes() == expected.tobytes()
+    assert (updated == max_power).any() and (updated[target == 0.0] == 0.0).all()
+    assert (written[target > 0.0] < 0.0).any()  # some users clip to zero too
+    for before, after in zip(inputs, (power, sinr, target)):
+        assert before.tobytes() == after.tobytes()
+
+
 def test_single_user_converges_to_closed_form(fig_params):
     scenario = orthogonal_scenario([50.0])
     result = run_single(scenario, fig_params, iterations=500, alpha=0.5)
@@ -461,6 +484,20 @@ def test_alpha_is_checked_when_no_row_takes_a_step(fig_params):
                 run_control_batch(
                     gain, corr, receiver, "alg1", fig_params, alpha=alpha, active=active
                 )
+
+
+@pytest.mark.parametrize("receiver", ["mf", "dec"])
+@pytest.mark.parametrize("start", [-1e-3, np.nan, np.inf])
+def test_bad_initial_power_is_refused_up_front(fig_params, receiver, start):
+    # No DEC round checks powers: unrefused, -1e-3 removes all three users and NaN or inf
+    # gives NaN powers.
+    scenario = ce.draw_scenario(ce.RingGeometry(50.0, 200.0), 3, 15, receiver, seed=5)
+    with pytest.raises(ce.ConfigurationError, match="initial_power must be non-negative and finite"):
+        run_single(scenario, fig_params, initial_power=start)
+    starts = np.full((1, 3), fig_params.noise_power)
+    starts[0, 2] = start
+    with pytest.raises(ce.ConfigurationError, match="initial_power"):
+        run_single(scenario, fig_params, initial_power=starts)
 
 
 def test_fixed_matched_filter_targets_are_refused(fig_params):

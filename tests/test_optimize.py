@@ -281,9 +281,14 @@ def test_root_tables_do_not_depend_on_build_order():
 
 
 def test_batch_solver_rejects_bad_interference():
+    # Every value that is not positive and finite, first and last in a batch.
     params = make_params()
-    with pytest.raises(ValueError):
-        ce.solve_optimal_sinr_batch(np.array([1e-9, 0.0]), params)
+    for bad in (0.0, -1e-9, np.nan, np.inf, -np.inf):
+        for batch in ([bad, 1e-9, 2e-9], [1e-9, 2e-9, bad]):
+            with pytest.raises(ValueError, match="positive and finite"):
+                ce.solve_optimal_sinr_batch(np.array(batch), params)
+    sinr, flagged = ce.solve_optimal_sinr_batch(np.empty(0), params)
+    assert sinr.shape == flagged.shape == (0,)
 
 
 def test_quasiconcavity_concave_stub_passes():
