@@ -105,26 +105,20 @@ def _cmd_tradeoff(args) -> int:
     users = config.tradeoff_user_count
     params = config.ee_params()
     out = Path(config.output_dir)
-    # Codes and fading get child streams; each curve restarts fading, so all see the same draws.
+    names = [f"tradeoff_{config.receiver}_d{d:g}.csv" for d in config.interferer_distances]
+    if len(set(names)) < len(names):
+        raise ConfigurationError("tradeoff.interferer_distances_m must not repeat to 6 digits")
+    # Codes and fading get child streams; every curve sees the same fading draws.
     code_stream, fading_stream = np.random.SeedSequence(config.seed).spawn(2)
     codes = generate_codes(config.processing_gain, users, np.random.default_rng(code_stream))
-    summary = {}
-    coupled = users > 1
-    for distance in config.interferer_distances:
-        curve = sweep_tradeoff(
-            (config.interest_distance, *(distance,) * (users - 1)),
-            codes,
-            params,
-            config.receiver,
-            config.interferer_power,
-            sweep_points=config.sweep_points,
-            fading=config.fading,
-            fading_draws=config.fading_draws,
-            path_loss_exponent=config.path_loss_exponent,
-            rng=np.random.default_rng(fading_stream),
-        )
-        name = f"tradeoff_{config.receiver}_d{distance:g}.csv"
-        out.mkdir(parents=True, exist_ok=True)
+    curves = sweep_tradeoff(
+        [(config.interest_distance, *(d,) * (users - 1)) for d in config.interferer_distances],
+        codes, params, config.receiver, config.interferer_power, config.sweep_points,
+        config.fading, config.fading_draws, config.path_loss_exponent, rng=fading_stream,
+    )
+    summary, coupled = {}, users > 1
+    out.mkdir(parents=True, exist_ok=True)
+    for distance, name, curve in zip(config.interferer_distances, names, curves):
         write_csv(
             out / name,
             ["power_w", "mean_se_bit_per_s_per_hz", "mean_ee_bit_per_joule", "mean_sinr"],

@@ -34,18 +34,27 @@ def sinr_gap(ber: float) -> float:
     return float(-1.5 / np.log(5.0 * ber))
 
 
+def log_gain(sinr, gap, out=None):
+    """ln(1 + gap*sinr): evaluated once, it gives the rate at any bandwidth."""
+    return np.log1p(np.multiply(gap, sinr, out=out), out=out)
+
+
+def rate_of_log_gain(nats, bandwidth, out=None):
+    """Rate in bit/s from ``log_gain``: bandwidth * nats / ln 2."""
+    return np.divide(np.multiply(nats, bandwidth, out=out), LN2, out=out)
+
+
 def rate(sinr, gap, bandwidth):
     """Gap-adjusted Shannon rate in bit/s."""
-    bits = np.log1p(gap * np.asarray(sinr, dtype=float))
-    bits *= bandwidth  # in place: a further temporary per call slows the trade-off sweep
-    return bits / LN2
+    return rate_of_log_gain(log_gain(sinr, gap), bandwidth)
 
 
-def packet_success(sinr, packet_bits):
+def packet_success(sinr, packet_bits, out=None):
     """(1 - exp(-sinr))^packet_bits, computed in log space to avoid underflow."""
-    sinr = np.asarray(sinr, dtype=float)
     with np.errstate(divide="ignore"):
-        return np.exp(packet_bits * np.log1p(-np.exp(-sinr)))
+        failure = np.exp(np.negative(sinr, out=out), out=out)
+        log_success = np.log1p(np.negative(failure, out=out), out=out)
+        return np.exp(np.multiply(packet_bits, log_success, out=out), out=out)
 
 
 @dataclass(frozen=True)
@@ -85,20 +94,27 @@ class EEParams:
         return self._gap
 
 
-def utility(power, sinr, params: EEParams, gap) -> float | np.ndarray:
-    """Per-user energy efficiency in bit/Joule."""
+def consumed_power(power, params: EEParams) -> np.ndarray:
+    """Transmit plus circuit power; refuses a negative power or a total that is not positive."""
     power = np.asarray(power, dtype=float)
     if np.any(power < 0.0):
         raise ValueError("power must be >= 0")
-    total_power = power + params.circuit_power
-    if np.any(total_power <= 0.0):
+    if np.any((total_power := power + params.circuit_power) <= 0.0):
         raise ValueError("power + circuit_power must be positive")
-    return (
-        rate(sinr, gap, params.bandwidth)
-        * params.load_fraction
-        * packet_success(sinr, params.packet_bits)
-        / total_power
-    )
+    return total_power
+
+
+def energy_efficiency(rate, success, total_power, params: EEParams, out=None):
+    """Bit/Joule from a rate, its packet success and the consumed power."""
+    ee = np.multiply(rate, params.load_fraction, out=out)
+    return np.divide(np.multiply(ee, success, out=out), total_power, out=out)
+
+
+def utility(power, sinr, params: EEParams, gap) -> float | np.ndarray:
+    """Per-user energy efficiency in bit/Joule."""
+    total_power = consumed_power(power, params)
+    success = packet_success(sinr, params.packet_bits)
+    return energy_efficiency(rate(sinr, gap, params.bandwidth), success, total_power, params)
 
 
 def global_ee(rates, sinrs, powers, params: EEParams):

@@ -14,7 +14,8 @@ import numpy as np
 
 from .channel import check_gain_power, draw_channel
 from .errors import ConfigurationError
-from .metrics import EEParams, rate, utility
+from .metrics import EEParams, consumed_power, energy_efficiency, log_gain, packet_success
+from .metrics import rate_of_log_gain
 from .optimize import scan_unimodal
 from .scenario import RECEIVERS
 from .spreading import (
@@ -26,8 +27,8 @@ from .spreading import (
 )
 
 SWEEP_POINTS = 400
-# Values per (draws x grid) block of the sweep: bounds its temporaries whatever the grid size.
-BLOCK_VALUES = 20_000
+# Values per (draws x grid) block buffer: four of at most 48 KiB each, under glibc's mmap threshold.
+BLOCK_VALUES = 6_144
 
 
 @dataclass(frozen=True)
@@ -78,80 +79,84 @@ def sweep_tradeoff(
     fading: str = "rayleigh",
     fading_draws: int = 5000,
     path_loss_exponent: float = 2.0,
-    rng: int | None | np.random.Generator = None,
-) -> TradeoffCurve:
-    """Average SE/EE over fading draws at each power of ``default_sweep_grid``.
-
-    ``distances`` are the users' distances in metres, the interest user first.
-    """
+    rng: int | None | np.random.SeedSequence | np.random.Generator = None,
+) -> list[TradeoffCurve]:
+    """Average SE/EE over fading draws at each power of ``default_sweep_grid``, one curve per
+    row of ``distances`` (the users' distances in metres, interest user first), every curve
+    on the same draws; curves with byte-equal interest-user interference are averaged once."""
     if receiver not in RECEIVERS:
         raise ConfigurationError(f"receiver must be one of {RECEIVERS}")
     if sweep_points < 1:
         raise ConfigurationError("sweep_points must be >= 1")
     grid = default_sweep_grid(params.max_power, sweep_points)
+    total_power = consumed_power(grid, params)  # utility's guards, once for every curve
 
     distances = np.asarray(distances, dtype=float)
-    users = distances.size
-    if users < 1:
-        raise ConfigurationError("distances must include the interest user")
+    if distances.ndim != 2 or distances.shape[1] < 1:
+        raise ConfigurationError("distances must be one row per curve, the interest user first")
+    users = distances.shape[1]
     others = np.broadcast_to(np.asarray(interferer_power, dtype=float), (users - 1,))
     if np.any(others < 0.0):
         raise ConfigurationError("interferer powers must be >= 0")
 
-    gap = params.gap()
     draws = 1 if fading == "none" else int(fading_draws)
     if draws < 1:
         raise ConfigurationError("fading_draws must be >= 1")
 
     if receiver == "dec" and (reason := decorrelator_load_error(users, codes.processing_gain)):
         raise ConfigurationError(reason)
+    # MF inputs: the interest user's own power never enters its MAI; 0 stands in for it.
+    power = np.broadcast_to(np.concatenate(([0.0], others)), (draws, users))
+    weights = np.broadcast_to(mf_mai_weights(codes.correlation), (draws, users, users))
 
-    gain_power = draw_channel(
-        np.broadcast_to(distances, (draws, users)), path_loss_exponent, fading, rng
-    ).gain_power
-    check_gain_power(gain_power, params.noise_power)
-    if receiver == "mf":
-        # The interest user's own power never enters its MAI; 0 stands in for it.
-        power = np.broadcast_to(np.concatenate(([0.0], others)), gain_power.shape)
-        weights = np.broadcast_to(mf_mai_weights(codes.correlation), (draws, users, users))
-        _, eff_itf = mf_sinr(power, gain_power, weights, params.noise_power)
-    else:
-        eff_itf = dec_eff_interference(
-            gain_power, codes.correlation, np.ones(users, dtype=bool), params.noise_power
+    gen = np.random.default_rng(rng)
+    rewind = gen.bit_generator.state
+    def interest_column(row):  # a function, so a curve's draws are freed before the next's
+        gen.bit_generator.state = rewind
+        gain_power = draw_channel(np.broadcast_to(row, (draws, users)), path_loss_exponent,
+                                  fading, gen).gain_power
+        check_gain_power(gain_power, params.noise_power)
+        if receiver == "mf":
+            _, eff_itf = mf_sinr(power, gain_power, weights, params.noise_power)
+        else:
+            eff_itf = dec_eff_interference(
+                gain_power, codes.correlation, np.ones(users, dtype=bool), params.noise_power
+            )
+        # cumsum adds the draws in order too, where np.sum would add them pairwise.
+        coupling = float("nan") if users == 1 else (
+            (np.cumsum(gain_power[:, 0])[-1] / draws)
+            / (np.cumsum(gain_power[:, 1:].mean(axis=1))[-1] / draws)
         )
+        return eff_itf[:, 0].copy(), coupling
+    columns = [interest_column(row) for row in distances]
+    rows = min(max(1, BLOCK_VALUES // grid.size), draws)
+    buffers = [np.empty((rows, grid.size)) for _ in range(4)]
+    means, curves = {}, []
+    for itf, coupling in columns:
+        if (key := itf.tobytes()) not in means:
+            means[key] = _mean_curves(grid, itf, total_power, params, buffers)
+        se, ee, sinr = means[key].copy()
+        monotone, unimodal = bool(np.all(np.diff(se) >= 0.0)), scan_unimodal(ee)[1] is None
+        curves.append(TradeoffCurve(grid.copy(), se, ee, sinr, int(np.argmax(ee)), receiver,
+                                    draws, monotone, unimodal, coupling))
+    return curves
 
-    # Stacking the running sums on a block and reducing over axis 0 adds the rows one at a
-    # time in draw order, so the curves do not depend on the block size; the 1-D pairwise
-    # np.sum, or running + block.sum(axis=0), would associate the additions differently.
-    se_sum = ee_sum = sinr_sum = np.zeros(grid.size)
-    step = max(1, BLOCK_VALUES // grid.size)
-    for itf in np.split(eff_itf[:, 0], range(step, draws, step)):
-        sinr = grid / itf[:, None]
-        se_sum = np.vstack([se_sum, rate(sinr, gap, 1.0)]).sum(axis=0)
-        ee_sum = np.vstack([ee_sum, utility(grid, sinr, params, gap)]).sum(axis=0)
-        sinr_sum = np.vstack([sinr_sum, sinr]).sum(axis=0)
 
-    se = se_sum / draws
-    ee = ee_sum / draws
-    sinr = sinr_sum / draws
-    max_ee_index = int(np.argmax(ee))
-    # cumsum adds the draws in order too, where np.sum would add them pairwise.
-    coupling = (
-        (np.cumsum(gain_power[:, 0])[-1] / draws)
-        / (np.cumsum(gain_power[:, 1:].mean(axis=1))[-1] / draws)
-        if users > 1
-        else float("nan")
-    )
-    return TradeoffCurve(
-        powers=grid,
-        se=se,
-        ee=ee,
-        sinr=sinr,
-        max_ee_index=max_ee_index,
-        receiver=receiver,
-        fading_draws=draws,
-        se_monotone=bool(np.all(np.diff(se) >= 0.0)),
-        ee_unimodal=scan_unimodal(ee)[1] is None,
-        coupling=coupling,
-    )
-
+def _mean_curves(grid, itf, total_power, params: EEParams, buffers) -> np.ndarray:
+    """Mean SE, EE and SINR per grid power over the interest user's interference draws."""
+    gap, step = params.gap(), len(buffers[0])
+    sums = np.zeros((3, grid.size))
+    for block in np.split(itf[:, None], range(step, itf.size, step)):
+        se, ee, sinr, success = (buffer[: len(block)] for buffer in buffers)
+        np.divide(grid, block, out=sinr)
+        nats = log_gain(sinr, gap, out=se)
+        packet_success(sinr, params.packet_bits, out=success)
+        rate = rate_of_log_gain(nats, params.bandwidth, out=ee)
+        energy_efficiency(rate, success, total_power, params, out=ee)
+        rate_of_log_gain(nats, 1.0, out=se)
+        # Reducing [sum, *values] over the draws adds them one at a time in draw order, so
+        # the means do not depend on the block size, where a pairwise np.sum would not.
+        for values, total in zip((se, ee, sinr), sums):
+            values[0] += total
+            np.sum(values, axis=0, out=total)
+    return sums / itf.size

@@ -278,19 +278,19 @@ def test_criterion_07_tradeoff_gap_ordering():
     started = time.perf_counter()
     params = fig_params()
     codes = ce.generate_codes(15, 3, np.random.default_rng(SEED))
+    distances = (200.0, 100.0, 80.0)
+    curves = ce.sweep_tradeoff(
+        [[50.0, distance, distance] for distance in distances],
+        codes,
+        params,
+        "mf",
+        interferer_power=params.max_power,
+        fading="rayleigh",
+        fading_draws=5000,
+        rng=np.random.default_rng(SEED),
+    )
     gaps = {}
-    for distance in (200.0, 100.0, 80.0):
-        placement = np.array([50.0, distance, distance])
-        curve = ce.sweep_tradeoff(
-            placement,
-            codes,
-            params,
-            "mf",
-            interferer_power=params.max_power,
-            fading="rayleigh",
-            fading_draws=5000,
-            rng=np.random.default_rng(SEED),
-        )
+    for distance, curve in zip(distances, curves):
         assert curve.se_monotone and curve.ee_unimodal
         gaps[distance] = curve.lambda_gap
     elapsed = time.perf_counter() - started

@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 import cdma_ee
-from cdma_ee import cli
+from cdma_ee import cli, tradeoff
 from cdma_ee.cli import main
 
 
@@ -279,21 +279,21 @@ def test_bad_receiver_k_combination_exits_numeric_or_config(tmp_path, capsys, co
 
 def test_tradeoff_codes_and_fading_draw_from_separate_streams(tmp_path, monkeypatch):
     # The codes and the fading take two children of the seed, and every curve
-    # starts a fresh generator on the fading child: the DEC curves, which do
-    # not depend on the interferers, are then the same at every distance.
+    # draws from the fading child as it stood at the start: the DEC curves,
+    # which do not depend on the interferers, are then the same at every distance.
     seen = {"codes": [], "fading": []}
-    real_codes, real_sweep = cli.generate_codes, cli.sweep_tradeoff
+    real_codes, real_draw = cli.generate_codes, tradeoff.draw_channel
 
     def codes(processing_gain, users, rng):
         seen["codes"].append(copy.deepcopy(rng))
         return real_codes(processing_gain, users, rng)
 
-    def sweep(*args, rng, **kwargs):
+    def draw(distances, exponent, fading, rng):
         seen["fading"].append(copy.deepcopy(rng))
-        return real_sweep(*args, rng=rng, **kwargs)
+        return real_draw(distances, exponent, fading, rng)
 
     monkeypatch.setattr(cli, "generate_codes", codes)
-    monkeypatch.setattr(cli, "sweep_tradeoff", sweep)
+    monkeypatch.setattr(tradeoff, "draw_channel", draw)
     distances = [200, 100, 80]
     config = write_config(
         tmp_path, system={"receiver": "dec"}, tradeoff={"interferer_distances_m": distances}
@@ -307,6 +307,15 @@ def test_tradeoff_codes_and_fading_draw_from_separate_streams(tmp_path, monkeypa
     out = tmp_path / "out"
     curves = {(out / f"tradeoff_dec_d{d}.csv").read_bytes() for d in distances}
     assert len(curves) == 1
+
+
+@pytest.mark.parametrize("distances", [[100.0, 100.0000001, 80.0], [80.0, 200.0, 80.0]])
+def test_tradeoff_refuses_distances_that_name_one_curve_file(tmp_path, capsys, distances):
+    # Each curve file is named by its distance to 6 significant digits.
+    config = write_config(tmp_path, tradeoff={"interferer_distances_m": distances})
+    assert main(["tradeoff", "--config", str(config)]) == 2
+    assert "tradeoff.interferer_distances_m" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_single_user_tradeoff_writes_strict_json(tmp_path, capsys):

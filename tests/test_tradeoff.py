@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import cdma_ee as ce
+from cdma_ee import tradeoff
 from cdma_ee.tradeoff import TradeoffCurve
 
 from conftest import best_response_power, gamma_star
@@ -11,10 +12,10 @@ def fig_distances(distance, users=3):
     return (50.0, *(distance,) * (users - 1))
 
 
-def reference_sweep(distances, codes, params, receiver, interferer_power, draws, rng):
+def reference_sweep(distances, codes, params, receiver, interferer_power, draws, rng, points=400):
     """Per-draw loop: one (K,) fading draw and one row of grid values per draw."""
     users = len(distances)
-    grid = ce.default_sweep_grid(params.max_power)
+    grid = ce.default_sweep_grid(params.max_power, points)
     gain_power = np.stack(
         [ce.draw_channel(distances, 2.0, "rayleigh", rng).gain_power for _ in range(draws)]
     )
@@ -47,8 +48,8 @@ def test_sweep_matches_per_draw_reference_loop(fig_params, receiver, users):
     # 137 draws do not fill a whole number of blocks at the 400-point grid
     codes = ce.generate_codes(15, users, 5)
     distances = fig_distances(80.0, users)
-    curve = ce.sweep_tradeoff(
-        distances, codes, fig_params, receiver, 1e-2, fading_draws=137,
+    [curve] = ce.sweep_tradeoff(
+        [distances], codes, fig_params, receiver, 1e-2, fading_draws=137,
         rng=np.random.default_rng(21),
     )
     se, ee, sinr, coupling = reference_sweep(
@@ -60,20 +61,68 @@ def test_sweep_matches_per_draw_reference_loop(fig_params, receiver, users):
     assert np.array_equal(curve.coupling, coupling, equal_nan=True)
 
 
+@pytest.mark.parametrize("points", [7, 400])
+@pytest.mark.parametrize("block_rows", [None, 50, 1000], ids=["one_value", "short_last", "whole"])
+@pytest.mark.parametrize("receiver", ["mf", "dec"])
+def test_sweep_matches_reference_at_any_block_size(fig_params, monkeypatch, receiver, block_rows,
+                                                   points):
+    # One value per block runs one draw per block; 50 rows leave 37 of the 137 draws to a
+    # short last block; 1000 rows exceed the draws, so the buffers are cut to one block.
+    monkeypatch.setattr(tradeoff, "BLOCK_VALUES", 1 if block_rows is None else block_rows * points)
+    codes = ce.generate_codes(15, 3, 5)
+    distances = fig_distances(80.0)
+    [curve] = ce.sweep_tradeoff(
+        [distances], codes, fig_params, receiver, 1e-2, sweep_points=points, fading_draws=137,
+        rng=np.random.default_rng(21),
+    )
+    se, ee, sinr, _ = reference_sweep(
+        distances, codes, fig_params, receiver, 1e-2, 137, np.random.default_rng(21), points
+    )
+    assert np.array_equal(curve.se, se)
+    assert np.array_equal(curve.ee, ee)
+    assert np.array_equal(curve.sinr, sinr)
+
+
+def test_curves_share_draws_and_dec_curves_are_averaged_once(fig_params):
+    codes = ce.generate_codes(15, 3, 5)
+    rows = [fig_distances(d) for d in (200.0, 100.0, 80.0)]
+    arrays = ("powers", "se", "ee", "sinr")
+    dec = ce.sweep_tradeoff(rows, codes, fig_params, "dec", 1e-2, fading_draws=300, rng=4)
+    mf = ce.sweep_tradeoff(rows, codes, fig_params, "mf", 1e-2, fading_draws=300, rng=4)
+    for i, curve in enumerate(dec):
+        for name in arrays:
+            assert getattr(curve, name).tobytes() == getattr(dec[0], name).tobytes()
+        # a curve's arrays are its own, even where the DEC curves were averaged once
+        for other in dec[i + 1 :]:
+            assert not any(np.shares_memory(getattr(curve, n), getattr(other, n)) for n in arrays)
+    assert len({curve.coupling for curve in dec}) == 3
+    for i, curve in enumerate(mf):
+        # each curve is the one that a call with its row alone makes on the same seed
+        [alone] = ce.sweep_tradeoff(
+            [rows[i]], codes, fig_params, "mf", 1e-2, fading_draws=300, rng=4
+        )
+        for name in arrays:
+            assert getattr(curve, name).tobytes() == getattr(alone, name).tobytes()
+        assert curve.coupling == alone.coupling == dec[i].coupling
+        assert not any(np.array_equal(curve.ee, other.ee) for other in mf[i + 1 :])
+
+
 def test_sweep_grid_validation(fig_params):
     codes = ce.generate_codes(15, 3, 0)
     distances = fig_distances(200.0)
     with pytest.raises(ce.ConfigurationError, match="sweep_points"):
-        ce.sweep_tradeoff(distances, codes, fig_params, "mf", 1e-2, sweep_points=0)
+        ce.sweep_tradeoff([distances], codes, fig_params, "mf", 1e-2, sweep_points=0)
     with pytest.raises(ce.ConfigurationError):
-        ce.sweep_tradeoff(distances, codes, fig_params, "zf", 1e-2)
+        ce.sweep_tradeoff([distances], codes, fig_params, "zf", 1e-2)
+    with pytest.raises(ce.ConfigurationError, match="one row per curve"):
+        ce.sweep_tradeoff(distances, codes, fig_params, "mf", 1e-2)
 
 
 def test_dec_curve_ignores_interferer_powers(fig_params):
     codes = ce.generate_codes(15, 3, 1)
     distances = fig_distances(100.0)
-    a = ce.sweep_tradeoff(distances, codes, fig_params, "dec", 1e-2, fading="none")
-    b = ce.sweep_tradeoff(distances, codes, fig_params, "dec", 1e-9, fading="none")
+    [a] = ce.sweep_tradeoff([distances], codes, fig_params, "dec", 1e-2, fading="none")
+    [b] = ce.sweep_tradeoff([distances], codes, fig_params, "dec", 1e-9, fading="none")
     assert np.array_equal(a.ee, b.ee)
     assert np.array_equal(a.se, b.se)
 
@@ -81,7 +130,7 @@ def test_dec_curve_ignores_interferer_powers(fig_params):
 def test_curve_shape_flags_and_cross_module_consistency(fig_params):
     codes = ce.generate_codes(15, 3, 42)
     distances = fig_distances(200.0)
-    curve = ce.sweep_tradeoff(distances, codes, fig_params, "mf", 1e-2, fading="none")
+    [curve] = ce.sweep_tradeoff([distances], codes, fig_params, "mf", 1e-2, fading="none")
     assert curve.se_monotone
     assert curve.ee_unimodal
     assert curve.lambda_gap >= 0.0
@@ -104,19 +153,18 @@ def test_curve_shape_flags_and_cross_module_consistency(fig_params):
 
 def test_mf_lambda_gap_shrinks_with_interference(fig_params):
     codes = ce.generate_codes(15, 3, 42)
-    gaps = {}
-    for distance in (200.0, 100.0, 80.0):
-        curve = ce.sweep_tradeoff(
-            fig_distances(distance),
-            codes,
-            fig_params,
-            "mf",
-            fig_params.max_power,
-            fading="rayleigh",
-            fading_draws=400,
-            rng=np.random.default_rng(7),
-        )
-        gaps[distance] = curve.lambda_gap
+    distances = (200.0, 100.0, 80.0)
+    curves = ce.sweep_tradeoff(
+        [fig_distances(distance) for distance in distances],
+        codes,
+        fig_params,
+        "mf",
+        fig_params.max_power,
+        fading="rayleigh",
+        fading_draws=400,
+        rng=np.random.default_rng(7),
+    )
+    gaps = {distance: curve.lambda_gap for distance, curve in zip(distances, curves)}
     assert gaps[80.0] < gaps[100.0] < gaps[200.0]
 
 
@@ -124,26 +172,24 @@ def test_zero_circuit_power_peak_sinr_invariant(no_circuit_params):
     # with no circuit power the EE-optimal SINR does not depend on the
     # interference level; resolved on a fine grid without fading noise
     codes = ce.generate_codes(15, 3, 42)
-    peaks = []
-    for distance in (200.0, 100.0, 80.0):
-        curve = ce.sweep_tradeoff(
-            fig_distances(distance),
-            codes,
-            no_circuit_params,
-            "mf",
-            no_circuit_params.max_power,
-            sweep_points=400_000,
-            fading="none",
-        )
-        peaks.append(curve.max_ee_sinr)
+    curves = ce.sweep_tradeoff(
+        [fig_distances(distance) for distance in (200.0, 100.0, 80.0)],
+        codes,
+        no_circuit_params,
+        "mf",
+        no_circuit_params.max_power,
+        sweep_points=400_000,
+        fading="none",
+    )
+    peaks = [curve.max_ee_sinr for curve in curves]
     spread = (max(peaks) - min(peaks)) / min(peaks)
     assert spread < 1e-4
 
 
 def test_coupling_reported_with_reciprocal(fig_params):
     codes = ce.generate_codes(15, 3, 3)
-    curve = ce.sweep_tradeoff(
-        fig_distances(200.0), codes, fig_params, "mf", 1e-2, fading="none"
+    [curve] = ce.sweep_tradeoff(
+        [fig_distances(200.0)], codes, fig_params, "mf", 1e-2, fading="none"
     )
     assert curve.coupling == pytest.approx(16.0, rel=1e-9)
     assert curve.coupling_reciprocal == pytest.approx(1.0 / 16.0, rel=1e-9)
@@ -184,14 +230,14 @@ def test_gap_lambda_synthetic_curve():
 def test_fading_none_collapses_draw_count(fig_params):
     codes = ce.generate_codes(15, 2, 0)
     distances = fig_distances(100.0, users=2)
-    curve = ce.sweep_tradeoff(
-        distances, codes, fig_params, "mf", 1e-2, fading="none", fading_draws=5000
+    [curve] = ce.sweep_tradeoff(
+        [distances], codes, fig_params, "mf", 1e-2, fading="none", fading_draws=5000
     )
     assert curve.fading_draws == 1
 
 
 def test_single_user_sweep_has_nan_coupling(fig_params):
     codes = ce.generate_codes(15, 1, 0)
-    curve = ce.sweep_tradeoff(np.array([50.0]), codes, fig_params, "mf", (), fading="none")
+    [curve] = ce.sweep_tradeoff(np.array([[50.0]]), codes, fig_params, "mf", (), fading="none")
     assert np.isnan(curve.coupling)
     assert curve.se_monotone
