@@ -3,8 +3,9 @@
 A run sweeps the user count K over realizations.  ``run_block`` draws each
 realization r of a block once, at the largest K, from the substream
 ``seed + r``; each K runs on the first K users of that draw, which equal a
-fresh draw at K (see ``seeding``).  Under the matched filter every K of a
-block runs in one control batch.  ``run`` and ``solve`` both go through it.
+fresh draw at K (see ``seeding``), and records a hash of those users' draws.
+Under the matched filter every K of a block runs in one control batch.
+``run`` and ``solve`` both go through it.
 Two runs with equal seeds that differ only in algorithm or receiver therefore
 consume identical draws, and their metrics compare as paired samples.  Blocks
 of realizations are independent work units; results are sorted by
@@ -61,10 +62,8 @@ UNHASHED_KEYS = {"name", "output_dir", "workers"}
 # they select the scheme under test without touching the random draws.
 PAIRABLE_KEYS = {*UNHASHED_KEYS, "algorithm", "receiver", "min_rate"}
 
-# The sections of a YAML config document, and the key of a geometry's kind.
-SYSTEM, RADIO, CONTROL, TRADEOFF, KIND = "system", "radio", "control", "tradeoff", "kind"
-# Geometry kind -> its class and the document key of each of its fields.
-GEOMETRIES = {"ring": (RingGeometry, ("inner_radius_m", "outer_radius_m"))}
+# The sections of a YAML config document.
+SYSTEM, RADIO, CONTROL, TRADEOFF = "system", "radio", "control", "tradeoff"
 
 
 def _key(default, section: str | None = None, key: str | None = None, power: bool = False):
@@ -242,13 +241,11 @@ AGGREGATE_COLUMNS = ["k_users", "realizations", "failed_realizations", *AGGREGAT
 
 @dataclass
 class RunReport:
-    """Per-realization rows plus per-K aggregates and run metadata."""
+    """Per-realization rows and run metadata; ``aggregate_rows`` derives the per-K means."""
 
     config: ScenarioConfig
     rows: list[RealizationRecord]
-    aggregates: list[dict]
     errors: list[dict]
-    version: str = __version__
     # Per-K counters of the kept rows by str(K): verhulst_iterations, rounds, target_flagged.
     diagnostics: dict = field(default_factory=dict)
     # Software and host of the run (see ``run_environment``); no table reads it.
@@ -286,8 +283,8 @@ def run_block(config: ScenarioConfig, user_counts: list[int], realizations: list
     fresh draw at K gives.  Under the matched filter every K runs in one
     control batch, whose rows are (K, realization) pairs on those draws, each
     starting with its first K users active; under the decorrelator each K runs
-    as its own batch.  Yields ``(K, seeds, scenarios, result)`` per K in
-    ``user_counts`` order.
+    as its own batch.  Yields ``(K, seeds, draws, result)`` per K in
+    ``user_counts`` order; the draws are those at the largest K.
     """
     for k_users in user_counts:
         if reason := _refusal(config, k_users):
@@ -319,8 +316,7 @@ def run_block(config: ScenarioConfig, user_counts: list[int], realizations: list
             active=np.arange(width) < np.repeat(group, size)[:, None],
         )
         for i, k_users in enumerate(group):
-            scenarios = [draw.first_users(k_users) for draw in draws]
-            yield k_users, seeds, scenarios, result.part(slice(i * size, (i + 1) * size), k_users)
+            yield k_users, seeds, draws, result.part(slice(i * size, (i + 1) * size), k_users)
 
 
 def _run_chunk(config: ScenarioConfig, user_counts: list[int], realizations: list[int]):
@@ -334,7 +330,7 @@ def _run_chunk(config: ScenarioConfig, user_counts: list[int], realizations: lis
     params = config.ee_params()
     gap, circuit = params.gap(), params.circuit_power
     chunk = []
-    for k_users, seeds, scenarios, result in run_block(config, user_counts, realizations):
+    for k_users, seeds, draws, result in run_block(config, user_counts, realizations):
         kept = np.flatnonzero(~result.failed)
         rounds = int(result.rounds[kept].sum())
         diagnostics = {
@@ -380,7 +376,7 @@ def _run_chunk(config: ScenarioConfig, user_counts: list[int], realizations: lis
                     converged=bool(result.converged[b]),
                     stabilized_iteration=stab if stab >= 0 else None,
                     target_flagged=bool(result.target_flagged[b]),
-                    draw_checksum=scenario_checksum(scenarios[b]),
+                    draw_checksum=scenario_checksum(draws[b], k_users),
                 )
             )
         chunk.append((k_users, records, errors, diagnostics))
@@ -438,7 +434,6 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
     return RunReport(
         config=config,
         rows=rows,
-        aggregates=aggregate_rows(rows, errors),
         errors=errors,
         diagnostics=diagnostics,
         environment=run_environment(workers),
@@ -586,7 +581,7 @@ def emit_results(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
         digest = checksums.setdefault(str(row.k_users), hashlib.sha256())
         digest.update(row.draw_checksum.encode())
     metadata = {
-        "version": report.version,
+        "version": __version__,
         "seed": report.config.seed,
         "config_hash": report.config.config_hash(),
         "config": report.config.echo_dict(),
@@ -597,7 +592,8 @@ def emit_results(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     raw = ([getattr(row, name) for _, name, _ in _RAW_SCHEMA] for row in report.rows)
-    aggregate = ([entry[col] for col in AGGREGATE_COLUMNS] for entry in report.aggregates)
+    aggregates = aggregate_rows(report.rows, report.errors)
+    aggregate = ([entry[col] for col in AGGREGATE_COLUMNS] for entry in aggregates)
     try:
         out.mkdir(parents=True, exist_ok=True)
         return {
@@ -622,7 +618,7 @@ def read_report(run_dir: str | Path) -> RunReport:
     except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or a bad echo
         detail = 'no "config" entry' if isinstance(exc, (KeyError, TypeError)) else exc
         raise ConfigurationError(f"{meta_path}: {detail}") from exc
-    rows: list[RealizationRecord] = []
+    rows: dict[tuple[int, int], RealizationRecord] = {}  # by (K, realization)
     with raw_path.open(newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
@@ -640,7 +636,11 @@ def read_report(run_dir: str | Path) -> RunReport:
                 except (KeyError, ValueError) as exc:
                     bad = f"bad {column} value {line[i]!r}"
                     raise ConfigurationError(f"{raw_path} line {reader.line_num}: {bad}") from exc
-            rows.append(RealizationRecord(*values))
+            row = RealizationRecord(*values)
+            if (pair := (row.k_users, row.realization)) in rows:  # a pair is one paired sample
+                where = f"{raw_path} line {reader.line_num}"
+                raise ConfigurationError(f"{where}: repeats K={pair[0]}, realization {pair[1]}")
+            rows[pair] = row
     errors = metadata.get("errors", [])
     if not isinstance(errors, list):
         raise ConfigurationError(f'{meta_path}: "errors" must be a list')
@@ -651,10 +651,8 @@ def read_report(run_dir: str | Path) -> RunReport:
             raise ConfigurationError(f'{meta_path}: bad "errors" entry {entry!r}')
     return RunReport(
         config=config,
-        rows=rows,
-        aggregates=aggregate_rows(rows, errors),
+        rows=list(rows.values()),
         errors=errors,
-        version=metadata.get("version", __version__),
         diagnostics=metadata.get("diagnostics", {}),
         environment=metadata.get("environment", {}),
     )
@@ -668,10 +666,8 @@ def _plain(value):
     """A config value as plain data: tuples as lists, a geometry as its document mapping."""
     if isinstance(value, tuple):
         return list(value)
-    for kind, (cls, keys) in GEOMETRIES.items():
-        if isinstance(value, cls):
-            values = (_plain(getattr(value, f.name)) for f in fields(cls))
-            return {KIND: kind, **dict(zip(keys, values))}
+    if isinstance(value, RingGeometry):  # each radius at its field name plus "_m"
+        return {"kind": "ring", **{f"{f.name}_m": getattr(value, f.name) for f in fields(value)}}
     return value
 
 
@@ -691,15 +687,13 @@ def _check_keys(data, known, path: str, required=()) -> dict:
 def _coerce(value, hint, path: str):
     """A document value as a field of type ``hint``; errors name ``path``."""
     if hint is RingGeometry:
-        kind = value.get(KIND) if isinstance(value, dict) else None
-        if kind not in GEOMETRIES:
-            raise ConfigurationError(f"{_path(path, KIND)} must be one of {tuple(GEOMETRIES)}")
-        cls, keys = GEOMETRIES[kind]
-        _check_keys(value, (KIND, *keys), path, required=keys)
-        hints = get_type_hints(cls).values()
-        args = [_coerce(value[k], h, _path(path, k)) for k, h in zip(keys, hints)]
+        keys = tuple(f"{f.name}_m" for f in fields(RingGeometry))  # as _plain writes them
+        if not isinstance(value, dict) or value.get("kind") != "ring":
+            raise ConfigurationError(f"{_path(path, 'kind')} must be one of ('ring',)")
+        _check_keys(value, ("kind", *keys), path, required=keys)
+        args = [_coerce(value[k], float, _path(path, k)) for k in keys]
         try:
-            return cls(*args)
+            return RingGeometry(*args)
         except ConfigurationError as exc:  # the geometry's own checks name no key
             raise ConfigurationError(f"{path}: {exc}") from exc
     if get_origin(hint) is tuple:

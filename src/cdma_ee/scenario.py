@@ -27,20 +27,6 @@ class NetworkScenario:
         if self.receiver not in RECEIVERS:
             raise ConfigurationError(f"receiver must be one of {RECEIVERS}")
 
-    def first_users(self, k: int) -> NetworkScenario:
-        """The draws of the first ``k`` users, as views of this draw.
-
-        ``draw_scenario`` draws each user's values after those of the users
-        before it, so this equals a fresh draw at ``k`` users from the same seed.
-        """
-        channel, codes = self.channel, self.codes
-        return NetworkScenario(
-            placement=self.placement[:k],
-            channel=ChannelState(gains=channel.gains[:k], gain_power=channel.gain_power[:k]),
-            codes=SpreadingCodeSet(chips=codes.chips[:, :k], correlation=codes.correlation[:k, :k]),
-            receiver=self.receiver,
-        )
-
 
 def draw_scenario(
     geometry: RingGeometry,
@@ -61,10 +47,11 @@ def draw_scenario(
     return NetworkScenario(placement=placement, channel=channel, codes=codes, receiver=receiver)
 
 
-def scenario_checksum(scenario: NetworkScenario) -> str:
-    """Short digest of the random draws, used to verify paired comparisons."""
+def scenario_checksum(scenario: NetworkScenario, users: int | None = None) -> str:
+    """Short digest of the random draws of the first ``users`` users (default:
+    all), used to verify paired comparisons."""
     digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(scenario.placement).tobytes())
-    digest.update(np.ascontiguousarray(scenario.channel.gains).tobytes())
-    digest.update(np.ascontiguousarray(scenario.codes.chips).tobytes())
+    digest.update(np.ascontiguousarray(scenario.placement[:users]).tobytes())
+    digest.update(np.ascontiguousarray(scenario.channel.gains[:users]).tobytes())
+    digest.update(np.ascontiguousarray(scenario.codes.chips[:, :users]).tobytes())
     return digest.hexdigest()[:16]

@@ -13,7 +13,7 @@ import yaml
 
 import cdma_ee as ce
 from cdma_ee.cli import main as cli_main
-from cdma_ee.harness import ScenarioConfig, run_experiment
+from cdma_ee.harness import ScenarioConfig, aggregate_rows, run_experiment
 from cdma_ee.seeding import realization_seed
 
 from conftest import check_quasiconcavity, gamma_star, run_single, verify_nash
@@ -64,7 +64,7 @@ def random_utility_scenarios(count, rng):
 
 
 def aggregates_by_k(report, column):
-    return {entry["k_users"]: entry[column] for entry in report.aggregates}
+    return {entry["k_users"]: entry[column] for entry in aggregate_rows(report.rows, report.errors)}
 
 
 @pytest.fixture(scope="session")

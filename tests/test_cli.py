@@ -391,6 +391,10 @@ def test_preset_configs_are_reachable(tmp_path):
          "unknown config key(s): control.count_removed_circuit_power"),
         ({"system": {"user_counts": []}}, "system.user_counts must not be empty"),
         ({"workers": -3}, "workers must be >= 0"),
+        # A kind that cannot be a mapping key is refused like any other kind.
+        ({"system": {"geometry": {"kind": ["ring"], "inner_radius_m": 50.0,
+                                  "outer_radius_m": 200.0}}},
+         "system.geometry.kind must be one of ('ring',)"),
     ],
 )
 def test_bad_config_exits_with_config_code(tmp_path, capsys, overrides, named):
@@ -505,6 +509,21 @@ def test_compare_of_a_directory_without_raw_csv_exits_with_io_code(tmp_path, cap
     assert main(["compare", "--a", str(run_dir), "--b", str(run_dir)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("i/o error:") and f"{run_dir} does not contain raw.csv" in err
+
+
+def test_compare_refuses_a_repeated_raw_row(tmp_path, capsys):
+    # A repeated (K, realization) row would count twice as a paired sample.
+    for side, algorithm in (("ra", "alg1"), ("rb", "baseline")):
+        config = write_config(
+            tmp_path, filename=f"{side}.yaml", output_dir=str(tmp_path / side), realizations=4,
+            system={"user_counts": [2], "algorithm": algorithm},
+        )
+        assert main(["run", "--config", str(config)]) == 0
+    raw = tmp_path / "ra" / "raw.csv"
+    _append_raw_line(tmp_path / "ra", raw.read_text().splitlines()[2])  # K = 2, realization 1
+    argv = ["compare", "--a", str(tmp_path / "ra"), "--b", str(tmp_path / "rb")]
+    assert main(argv) == 2
+    assert f"{raw} line 6: repeats K=2, realization 1" in capsys.readouterr().err
 
 
 def test_compare_refuses_runs_whose_draws_differ(tmp_path, capsys):

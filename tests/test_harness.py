@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import dataclasses
 import json
 import os
@@ -133,9 +134,10 @@ def test_run_experiment_single_user_hits_analytic_optimum():
 def test_aggregates_are_means_of_rows():
     config = tiny_config(realizations=2)
     report = run_experiment(config)
+    aggregates = aggregate_rows(report.rows, report.errors)
     for k_users in config.user_counts:
         rows = [row for row in report.rows if row.k_users == k_users]
-        (entry,) = [e for e in report.aggregates if e["k_users"] == k_users]
+        (entry,) = [e for e in aggregates if e["k_users"] == k_users]
         assert entry["realizations"] == 2
         assert entry["mean_global_ee_bit_per_joule"] == pytest.approx(
             np.mean([r.global_ee for r in rows]), rel=1e-15
@@ -169,18 +171,18 @@ def test_first_users_of_a_draw_equal_a_fresh_draw(receiver):
     for seed in (7, 20260810):
         full = ce.draw_scenario(ring, 63, 63, receiver, seed)
         for k in (1, 3, 13, 33, 62, 63):
-            sliced, fresh = full.first_users(k), ce.draw_scenario(ring, k, 63, receiver, seed)
+            fresh = ce.draw_scenario(ring, k, 63, receiver, seed)
             pairs = [
-                (sliced.placement, fresh.placement),
-                (sliced.channel.gains, fresh.channel.gains),
-                (sliced.channel.gain_power, fresh.channel.gain_power),
-                (sliced.codes.chips, fresh.codes.chips),
-                (sliced.codes.correlation, fresh.codes.correlation),
+                (full.placement[:k], fresh.placement),
+                (full.channel.gains[:k], fresh.channel.gains),
+                (full.channel.gain_power[:k], fresh.channel.gain_power),
+                (full.codes.chips[:, :k], fresh.codes.chips),
+                (full.codes.correlation[:k, :k], fresh.codes.correlation),
             ]
             for a, b in pairs:
                 assert a.shape == b.shape
                 assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
-            assert ce.scenario_checksum(sliced) == ce.scenario_checksum(fresh)
+            assert ce.scenario_checksum(full, k) == ce.scenario_checksum(fresh)
 
 
 @pytest.mark.parametrize(
@@ -249,6 +251,12 @@ def test_mf_runs_cut_into_blocks_at_the_value_budget_change_no_row(monkeypatch):
     assert cut.errors == whole.errors and cut.diagnostics == whole.diagnostics
 
 
+def read_aggregate_csv(run_dir):
+    """The entries of a written aggregate.csv, every cell as a float."""
+    with (run_dir / "aggregate.csv").open(newline="") as handle:
+        return [{k: float(v) for k, v in line.items()} for line in csv.DictReader(handle)]
+
+
 def test_emit_and_read_round_trip(tmp_path):
     # 30 iterations leave rows with a removal and no stabilized iteration.
     config = tiny_config(realizations=2, iterations=30)
@@ -259,7 +267,9 @@ def test_emit_and_read_round_trip(tmp_path):
     paths = emit_results(report, first)
     loaded = read_report(first)
     assert loaded.rows == report.rows
-    assert loaded.aggregates == report.aggregates
+    aggregates = aggregate_rows(report.rows, report.errors)
+    assert aggregate_rows(loaded.rows, loaded.errors) == aggregates
+    assert read_aggregate_csv(first) == aggregates
     assert loaded.config == config
     meta = json.loads(paths["metadata"].read_text())
     assert config_from_dict(meta["config"]) == config
@@ -440,6 +450,16 @@ def test_full_precision_round_trip(tmp_path):
     for original, parsed in zip(report.rows, loaded.rows):
         assert parsed.global_ee == original.global_ee  # exact, not approximate
         assert parsed.sum_rate == original.sum_rate
+
+
+def test_emit_writes_the_aggregates_of_the_rows_it_is_given(tmp_path):
+    # A report whose rows were replaced gets the new rows' means, not the old ones'.
+    report = run_experiment(tiny_config())
+    rows = [dataclasses.replace(r, global_ee=r.global_ee + r.realization) for r in report.rows]
+    emit_results(dataclasses.replace(report, rows=rows), tmp_path)
+    written = read_aggregate_csv(tmp_path)
+    assert written == aggregate_rows(rows, report.errors)
+    assert written != aggregate_rows(report.rows, report.errors)
 
 
 def test_paired_comparison_identical_runs():

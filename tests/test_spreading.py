@@ -300,7 +300,7 @@ def test_mai_weights_zero_diagonal():
 
 
 
-@pytest.mark.parametrize("k", range(2, 16))
+@pytest.mark.parametrize("k", range(2, 64))
 def test_mf_values_of_a_row_do_not_depend_on_the_padded_width(k):
     # The control loop sums each matched-filter row's MAI over mf_width (8, 16, ...)
     # users, the weights past the batch's users zero.  NumPy's sum then gives a row of
@@ -323,7 +323,13 @@ def test_mf_values_of_a_row_do_not_depend_on_the_padded_width(k):
         return np.concatenate([sinr[:, :k], itf[:, :k]]).tobytes()
 
     step = mf_width(k)
-    values = {at(step), at(16), at(24), at(16, users=15), at(24, users=17)}
+    # Widths from mf_width(K) up, each with the K live user columns alone and with more.
+    values = {
+        at(width, users)
+        for width in (step, step + 8, step + 16, 64, 72)
+        for users in (k, k + 1, 15, 17, width - 1)
+        if k <= users <= width
+    }
     if k <= 4 or k % 8 in (0, 1, 2):
         values.add(at(k))
     assert values == {at(step)}
