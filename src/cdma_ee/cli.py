@@ -75,6 +75,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _say(text: str) -> None:
+    """Print ``text``; once stdout's reader has gone, stdout is os.devnull and work goes on."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _overrides(args) -> dict:
     """Config fields set on the command line, by field name."""
     names = (f.name for f in fields(ScenarioConfig))
@@ -94,7 +102,7 @@ def _cmd_run(args) -> int:
         if len(variants) > 1:
             target = target / label
         paths = emit_results(report, target)
-        print(f"[{label}] {len(report.rows)} rows -> {paths['raw'].parent}")
+        _say(f"[{label}] {len(report.rows)} rows -> {paths['raw'].parent}")
         for err in report.errors:
             print(f"[{label}] skipped: {err}", file=sys.stderr)
     return 0
@@ -122,7 +130,7 @@ def _cmd_tradeoff(args) -> int:
         write_csv(
             out / name,
             ["power_w", "mean_se_bit_per_s_per_hz", "mean_ee_bit_per_joule", "mean_sinr"],
-            zip(curve.powers, curve.se, curve.ee, curve.sinr),
+            zip(*(values.tolist() for values in (curve.powers, curve.se, curve.ee, curve.sinr))),
         )
         summary[name] = {
             "interferer_distance_m": distance,
@@ -140,7 +148,7 @@ def _cmd_tradeoff(args) -> int:
             "se_reference": "grid top power (asymptotic SE proxy)",
         }
         coupling = f", coupling={curve.coupling:.6g}" if coupled else ""
-        print(f"{name}: lambda={curve.lambda_gap:.6g} bit/s/Hz{coupling}")
+        _say(f"{name}: lambda={curve.lambda_gap:.6g} bit/s/Hz{coupling}")
     write_json(
         out / "tradeoff_metadata.json",
         {"version": __version__, "seed": config.seed, "curves": summary},
@@ -153,7 +161,7 @@ def _cmd_compare(args) -> int:
     report_b = read_report(args.b)
     verdicts = paired_comparison(report_a, report_b, args.metric)
     for v in verdicts:
-        print(
+        _say(
             f"K={v.k_users}: mean diff {v.mean_diff:.6g} "
             f"[{v.ci_low:.6g}, {v.ci_high:.6g}] -> {v.verdict}"
         )
@@ -178,16 +186,16 @@ def _cmd_solve(args) -> int:
     )
     gap = params.gap()
     rates = rate(sinr, gap, config.bandwidth)
-    print(
+    _say(
         f"K={k_users} receiver={config.receiver} algorithm={config.algorithm} "
         f"rounds={int(result.rounds[0])} converged={bool(result.converged[0])} "
         f"removed={result.removed[0]}"
     )
     header = f"{'user':>4} {'dist_m':>9} {'gain_pow':>12} {'target':>12} {'power_w':>12} {'sinr':>12} {'rate_bps':>12} {'ee_bit_j':>12}"
-    print(header)
+    _say(header)
     for k in range(k_users):
         ee_k = utility(power[k], sinr[k], params, gap) if active[k] else 0.0
-        print(
+        _say(
             f"{k:>4} {scenario.placement[k]:>9.2f} "
             f"{scenario.channel.gain_power[k]:>12.4e} {target[k]:>12.4e} "
             f"{power[k]:>12.4e} {sinr[k]:>12.4e} {rates[k]:>12.4e} {float(ee_k):>12.4e}"

@@ -126,7 +126,8 @@ def _verhulst(power, sinr, divisor, off, alpha, max_power):
     drop *= power  # alpha * (sinr / target) * power, rounded as written out
     updated = np.multiply(power, 1.0 + alpha, out=np.empty(power.shape))
     updated -= drop
-    np.clip(updated, 0.0, max_power, out=updated)
+    np.maximum(0.0, updated, out=updated)  # bound first: np.clip's bits
+    np.minimum(max_power, updated, out=updated)
     if off is not None:
         updated[off] = 0.0
     return updated
@@ -192,35 +193,40 @@ def _batch_round(
     live = np.arange(batch)
     everyone = inputs = (gain_power, weights, dec_itf, active)
     active_row = np.nonzero(active)[0]  # the live row of each active user, in mask order
-    stab = np.full(batch, -1, dtype=int)
+    moved = np.zeros(batch, dtype=int)  # the last iteration whose SINRs moved; 0 has none before
     stop = np.full(batch, iterations)  # the step after which each row leaves
     period = np.zeros(batch, dtype=int)  # 0 until the row repeats its anchor
+    leaves = iterations  # the least of `stop`
     prev_sinr = anchor = None
 
     for it in range(iterations):
         sinr, eff_itf = observe(power, inputs)
         if it == 0 or weights is not None:
             act = inputs[3]  # only active users are solved
-            targets[act], no_interior = solve_optimal_sinr_batch(eff_itf[act], params)
-            flagged[live[active_row[no_interior]]] = True
+            try:
+                targets[act], no_interior = solve_optimal_sinr_batch(eff_itf[act], params)
+            except ValueError as exc:  # interference the loop made from its powers overflowed
+                raise FloatingPointError(f"Verhulst loop: {exc}; check max_power_w") from exc
+            if no_interior.any():
+                flagged[live[active_row[no_interior]]] = True
             divisor, off = _switches(targets)  # fixed for a decorrelator round
 
         updated = _verhulst(power, sinr, divisor, off, alpha, params.max_power)
         if prev_sinr is not None:
-            settled = _settled(sinr, prev_sinr)
-            stab = np.where(settled, np.where(stab < 0, it, stab), -1)
+            moved = np.where(_settled(sinr, prev_sinr), moved, it)
         step = it + 1  # the state after this iteration is state `step`
         if trajectory is not None:
             trajectory.append(updated)
 
-        leaving = stop == step
-        if leaving.any():
+        if step == leaves:
+            leaving = stop == step
             left = live[leaving]
             final_power[left] = updated[leaving]
             final_targets[left] = targets[leaving]
             was = power[leaving]  # each row's largest movement, relative to a noise floor
             last_change[left] = (np.abs(updated[leaving] - was) / np.maximum(was, noise)).max(1)
-            settled_from = stab[leaving]
+            last = moved[leaving]
+            settled_from = np.where(last == it, -1, last + 1)
             late = settled_from > step - period[leaving]
             stabilized[left] = np.where(late, settled_from + iterations - step, settled_from)
             ran[left] = step
@@ -230,9 +236,10 @@ def _batch_round(
                 break
             inputs = take(inputs, keep)
             active_row = np.nonzero(inputs[3])[0]
-            updated, targets, sinr, stab, stop, period, anchor, divisor, off = take(
-                (updated, targets, sinr, stab, stop, period, anchor, divisor, off), keep
+            updated, targets, sinr, moved, stop, period, anchor, divisor, off = take(
+                (updated, targets, sinr, moved, stop, period, anchor, divisor, off), keep
             )
+            leaves = int(stop.min())
         prev_sinr = sinr
         power = updated
         if trajectory is not None or not REPEAT_WINDOW <= step < iterations:
@@ -241,9 +248,11 @@ def _batch_round(
         slot = step % REPEAT_WINDOW
         if step > REPEAT_WINDOW:
             same = (power.view(np.int64) == anchor.view(np.int64)).all(axis=1)  # same bytes
-            cycle = slot or REPEAT_WINDOW
-            period[same] = cycle
-            stop[same] = step + (iterations - step - 1) % cycle + 1
+            if same.any():
+                cycle = slot or REPEAT_WINDOW
+                period[same] = cycle
+                stop[same] = step + (iterations - step - 1) % cycle + 1
+                leaves = int(stop.min())
         if slot == 0:
             anchor = power
 

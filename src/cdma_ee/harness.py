@@ -23,6 +23,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import os
 import platform
 from collections import Counter
@@ -205,26 +206,29 @@ class RealizationRecord:
     draw_checksum: str
 
 
-def _parser(hint):
-    """Parser of a ``raw.csv`` cell's text into a field of type ``hint``."""
+def _codec(hint):
+    """Parser of a ``raw.csv`` cell's text into a field of type ``hint``, and formatter back."""
     args = get_args(hint)
     if type(None) in args:
-        inner = _parser(next(a for a in args if a is not type(None)))
-        return lambda text: None if text == "" else inner(text)
+        parse, render = _codec(next(a for a in args if a is not type(None)))
+        return (lambda text: None if text == "" else parse(text)), (
+            lambda value: "" if value is None else render(value))
     if get_origin(hint) is tuple:
-        item = _parser(args[0])
-        return lambda text: tuple(item(u) for u in text.split(";") if u != "")
+        parse, render = _codec(args[0])
+        return (lambda text: tuple(parse(u) for u in text.split(";") if u != "")), (
+            lambda value: ";".join(map(render, value)))
     if hint is bool:
-        return {"true": True, "false": False}.__getitem__
-    return hint
+        return {"true": True, "false": False}.__getitem__, ("false", "true").__getitem__
+    # float.__repr__ is the shortest round-trip text, of np.float64 values too.
+    return hint, float.__repr__ if hint is float else str
 
 
-# (raw.csv column, record field, cell parser), in column order.
+# (raw.csv column, record field, cell parser, cell formatter), in column order.
 _RAW_SCHEMA = [
-    (f.metadata.get("column", f.name), f.name, _parser(hint))
+    (f.metadata.get("column", f.name), f.name, *_codec(hint))
     for f, hint in zip(fields(RealizationRecord), get_type_hints(RealizationRecord).values())
 ]
-RAW_COLUMNS = [column for column, _, _ in _RAW_SCHEMA]
+RAW_COLUMNS = [column for column, *_ in _RAW_SCHEMA]
 
 # aggregate.csv column of each per-K mean -> the record field it averages.
 AGGREGATE_MEANS = {
@@ -356,29 +360,20 @@ def _run_chunk(config: ScenarioConfig, user_counts: list[int], realizations: lis
             dict(k_users=k_users, realization=realizations[b], error=result.failure_reasons[b])
             for b in np.flatnonzero(result.failed)
         ]
-        records: list[RealizationRecord] = []
-        for b in kept:
-            n_removed = len(result.removed[b])
-            stab = int(result.stabilized_iteration[b])
-            records.append(
-                RealizationRecord(
-                    k_users=k_users,
-                    realization=realizations[b],
-                    seed=seeds[b],
-                    sum_rate=float(sum_rate[b]),
-                    sum_power=float(sum_power[b]),
-                    sum_power_incl_removed_circuit=float(sum_power[b] + n_removed * circuit),
-                    global_ee=float(ee[b]),
-                    outage_fraction=n_removed / k_users,
-                    removed_count=n_removed,
-                    removed_order=tuple(result.removed[b]),
-                    rounds=int(result.rounds[b]),
-                    converged=bool(result.converged[b]),
-                    stabilized_iteration=stab if stab >= 0 else None,
-                    target_flagged=bool(result.target_flagged[b]),
-                    draw_checksum=scenario_checksum(draws[b], k_users),
-                )
+        columns = [sum_rate, sum_power, ee, result.rounds, result.converged]
+        columns += [result.stabilized_iteration, result.target_flagged]
+        records = [  # in RealizationRecord's field order
+            RealizationRecord(
+                k_users, realizations[b], seeds[b], rate_sum, power_sum,
+                power_sum + len(result.removed[b]) * circuit, ee_b,
+                len(result.removed[b]) / k_users, len(result.removed[b]), tuple(result.removed[b]),
+                rounds, converged, stab if stab >= 0 else None, flagged,
+                scenario_checksum(draws[b], k_users),
             )
+            for b, rate_sum, power_sum, ee_b, rounds, converged, stab, flagged in zip(
+                kept.tolist(), *(column[kept].tolist() for column in columns)
+            )
+        ]
         chunk.append((k_users, records, errors, diagnostics))
     return chunk
 
@@ -452,6 +447,7 @@ class PairedVerdict:
     verdict: str  # "a>b", "b>a", or "indistinguishable"
 
 
+@functools.lru_cache(maxsize=None)  # compare asks for the same dof at every K
 def _t_quantile(p: float, dof: int) -> float:
     """Student-t quantile at ``p >= 0.5`` for an integer ``dof`` >= 1.
 
@@ -541,23 +537,12 @@ def paired_comparison(
     return verdicts
 
 
-def _render(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))  # shortest round-trip rendering; repr(np.float64) names its type
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ";".join(str(u) for u in value)
-    return str(value)
-
-
 def write_csv(path: str | Path, header: list[str], rows) -> Path:
-    """Write ``header`` and then ``rows``, each cell as its ``_render`` text."""
+    """Write ``header`` and then ``rows``, whose cells are text, ints, None (an empty
+    cell) or Python floats (their repr, the shortest text that reads back the same)."""
     path = Path(path)
     with path.open("w", newline="") as handle:
-        csv.writer(handle).writerows([_render(v) for v in row] for row in [header, *rows])
+        csv.writer(handle).writerows(itertools.chain([header], rows))
     return path
 
 
@@ -591,7 +576,9 @@ def emit_results(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
         "environment": report.environment,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    raw = ([getattr(row, name) for _, name, _ in _RAW_SCHEMA] for row in report.rows)
+    # raw.csv is formatted column by column, each by its field's formatter.
+    raw = zip(*(map(render, map(operator.attrgetter(name), report.rows))
+                for _, name, _, render in _RAW_SCHEMA))
     aggregates = aggregate_rows(report.rows, report.errors)
     aggregate = ([entry[col] for col in AGGREGATE_COLUMNS] for entry in aggregates)
     try:
@@ -625,22 +612,25 @@ def read_report(run_dir: str | Path) -> RunReport:
         missing = [column for column in RAW_COLUMNS if column not in header]
         if missing:
             raise ConfigurationError(f"{raw_path}: missing column(s) {', '.join(missing)}")
-        cells = [(header.index(column), column, parse) for column, _, parse in _RAW_SCHEMA]
-        for line in reader:
-            if len(line) != len(header):
-                raise ConfigurationError(f"{raw_path} line {reader.line_num}: wrong cell count")
-            values = []
-            for i, column, parse in cells:
+        # Parsed column by column, 64 lines at a time: the text of one block is held.
+        while block := [(reader.line_num, line) for line in itertools.islice(reader, 64)]:
+            numbers, lines = zip(*block)  # the line each row ends on, and its cells
+            if short := next((n for n, line in block if len(line) != len(header)), None):
+                raise ConfigurationError(f"{raw_path} line {short}: wrong cell count")
+            columns, values = list(zip(*lines)), []
+            for column, _, parse, _ in _RAW_SCHEMA:
+                values.append(parsed := [])
                 try:
-                    values.append(parse(line[i]))
+                    for text in columns[header.index(column)]:
+                        parsed.append(parse(text))
                 except (KeyError, ValueError) as exc:
-                    bad = f"bad {column} value {line[i]!r}"
-                    raise ConfigurationError(f"{raw_path} line {reader.line_num}: {bad}") from exc
-            row = RealizationRecord(*values)
-            if (pair := (row.k_users, row.realization)) in rows:  # a pair is one paired sample
-                where = f"{raw_path} line {reader.line_num}"
-                raise ConfigurationError(f"{where}: repeats K={pair[0]}, realization {pair[1]}")
-            rows[pair] = row
+                    where = f"{raw_path} line {numbers[len(parsed)]}"
+                    raise ConfigurationError(f"{where}: bad {column} value {text!r}") from exc
+            for number, row in zip(numbers, map(RealizationRecord, *values)):
+                if (pair := (row.k_users, row.realization)) in rows:  # a pair is one sample
+                    where = f"{raw_path} line {number}"
+                    raise ConfigurationError(f"{where}: repeats K={pair[0]}, realization {pair[1]}")
+                rows[pair] = row
     errors = metadata.get("errors", [])
     if not isinstance(errors, list):
         raise ConfigurationError(f'{meta_path}: "errors" must be a list')

@@ -125,16 +125,26 @@ def solve_optimal_sinr_batch(
     rho = params.circuit_power / itf
     # rho = 0 clips to the first node; flagged entries may step anywhere and are replaced.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_rho = np.clip(np.log(rho), -TABLE_LOG_RHO, TABLE_LOG_RHO)
-        position = (log_rho + TABLE_LOG_RHO) * ((TABLE_NODES - 1) / (2.0 * TABLE_LOG_RHO))
+        position = np.log(rho, out=np.empty(itf.shape))  # temporaries of the input's shape
+        np.maximum(-TABLE_LOG_RHO, position, out=position)  # bound first: np.clip's bits
+        np.minimum(TABLE_LOG_RHO, position, out=position)
+        position += TABLE_LOG_RHO
+        position *= (TABLE_NODES - 1) / (2.0 * TABLE_LOG_RHO)
         cell = np.minimum(position.astype(int), TABLE_NODES - 2)
-        u = position - cell
+        u = np.subtract(position, cell, out=position)
         c0, c1, c2, c3 = np.take(coefficients, cell, axis=1)
-        x = np.exp(c0 + u * (c1 + u * (c2 + u * c3)))
+        x = np.multiply(u, c3, out=np.empty(itf.shape))  # Horner: c0 + u (c1 + u (c2 + u c3))
+        for c in (c2, c1):
+            x += c
+            x *= u
+        x += c0
+        np.exp(x, out=x)
         residual, derivative = _stationarity(x, gap, packet_bits, rho)
-        x = x - residual / derivative
+        residual /= derivative
+        x -= residual
     no_interior = rho >= threshold
-    return np.where(no_interior, BRACKET_MAX, x), no_interior
+    x[no_interior] = BRACKET_MAX
+    return x, no_interior
 
 
 def scan_unimodal(values: np.ndarray) -> tuple[int, int | None, float]:

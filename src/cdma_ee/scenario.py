@@ -38,8 +38,9 @@ def draw_scenario(
     fading: str = "rayleigh",
 ) -> NetworkScenario:
     """Draw placement, fading and codes from the three substreams of ``seed``."""
-    placement_rng, fading_rng, codes_rng = map(
-        np.random.default_rng, np.random.SeedSequence(seed).spawn(3)
+    # The children SeedSequence(seed).spawn(3) gives, without building their parent.
+    placement_rng, fading_rng, codes_rng = (
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,))) for i in range(3)
     )
     placement = draw_placement(geometry, user_count, placement_rng)
     channel = draw_channel(placement, path_loss_exponent, fading, fading_rng)

@@ -14,6 +14,7 @@ import yaml
 import cdma_ee
 from cdma_ee import cli, tradeoff
 from cdma_ee.cli import main
+from cdma_ee.harness import emit_results, read_report
 
 
 def write_config(tmp_path, filename="config.yaml", **overrides):
@@ -477,7 +478,8 @@ def _set_raw_cell(run_dir, row, column, value):
         (lambda d: _set_raw_cell(d, 0, "global_ee_bit_per_joule", "ee"), "raw.csv",
          "global_ee_bit_per_joule"),
         (_drop_config, "metadata.json", '"config"'),
-        (lambda d: _set_raw_cell(d, 1, "converged", "yes"), "raw.csv", "converged value 'yes'"),
+        (lambda d: _set_raw_cell(d, 2, "converged", "yes"), "raw.csv",
+         "line 3: bad converged value 'yes'"),
         (_add_error_without_k, "metadata.json", '"errors" entry'),
         (lambda d: _edit_config(d, lambda c: c["radio"].pop("ber")), "metadata.json", "radio.ber"),
         (lambda d: _edit_config(d, _power_in_dbm), "metadata.json", "radio.noise_power_dbm"),
@@ -500,6 +502,29 @@ def test_compare_rejects_malformed_run(tmp_path, capsys, damage, file, named):
     assert main(["compare", "--a", str(run_dir), "--b", str(run_dir)]) == 2
     err = capsys.readouterr().err
     assert str(run_dir / file) in err and named in err
+
+
+def test_read_report_spans_parse_blocks(tmp_path, capsys):
+    # 80 raw.csv rows: more than one block of the column-wise parse.  Records,
+    # bad cells and repeats past the first block keep their lines.
+    config = write_config(tmp_path, realizations=40)
+    assert main(["run", "--config", str(config)]) == 0
+    run_dir = tmp_path / "out"
+    report = read_report(run_dir)
+    assert [(row.k_users, row.realization) for row in report.rows] == [
+        (k, r) for k in (2, 3) for r in range(40)
+    ]
+    emit_results(report, tmp_path / "again")
+    assert (tmp_path / "again" / "raw.csv").read_bytes() == (run_dir / "raw.csv").read_bytes()
+    damaged = tmp_path / "damaged"
+    shutil.copytree(run_dir, damaged)
+    _set_raw_cell(damaged, 70, "converged", "yes")
+    assert main(["compare", "--a", str(damaged), "--b", str(run_dir)]) == 2
+    assert "raw.csv line 71: bad converged value 'yes'" in capsys.readouterr().err
+    lines = (run_dir / "raw.csv").read_text().splitlines()
+    _append_raw_line(run_dir, lines[1])
+    assert main(["compare", "--a", str(run_dir), "--b", str(damaged)]) == 2
+    assert "raw.csv line 82: repeats K=2, realization 0" in capsys.readouterr().err
 
 
 def test_compare_of_a_directory_without_raw_csv_exits_with_io_code(tmp_path, capsys):
@@ -552,6 +577,57 @@ def test_overflowing_interference_exits_with_numeric_code(tmp_path, capsys, comm
     assert main([command, "--config", str(config)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("numerical error: effective interference") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("command", ["run", "solve"])
+def test_overflowing_loop_interference_exits_with_numeric_code(tmp_path, capsys, command):
+    # Gains near 1e252 pass the entry checks, but with a 1e300 W cap the received
+    # powers of the matched-filter loop overflow after about 390 iterations; its
+    # solve refuses the interference as a numerical error.
+    config = write_config(
+        tmp_path, seed=3, realizations=4, control={"iterations": 500},
+        system={"processing_gain": 15, "user_counts": [14], "algorithm": "baseline",
+                "geometry": {"kind": "ring", "inner_radius_m": 1.0e-126,
+                             "outer_radius_m": 2.0e-126}},
+        radio={"max_power_w": 1.0e300},
+    )
+    argv = [command, "--config", str(config)] + (["--k", "14"] if command == "solve" else [])
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: Verhulst loop: eff_interference must be positive")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def _run_with_closed_stdout(argv):
+    """Exit code and stderr of ``cdma-ee argv`` in a new interpreter whose stdout
+    pipe is closed before the command prints."""
+    src = str(Path(cdma_ee.__file__).parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); from cdma_ee.cli import main; "
+    code += f"sys.exit(main({argv!r}))"
+    env = {k: v for k, v in os.environ.items() if k != "CDMA_EE_WORKERS"}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    return proc.wait(), err
+
+
+def test_a_closed_stdout_does_not_change_the_outcome(tmp_path):
+    config = write_config(
+        tmp_path, variants=[{"name": "a"}, {"name": "b", "system": {"algorithm": "baseline"}}]
+    )
+    assert _run_with_closed_stdout(["run", "--config", str(config)]) == (0, "")
+    for variant in ("a", "b"):
+        assert (tmp_path / "out" / variant / "raw.csv").is_file()
+    assert _run_with_closed_stdout(["solve", "--config", str(config), "--k", "3"]) == (0, "")
+    # An unwritable result directory still fails as an i/o error.
+    (tmp_path / "blocker").write_text("a file, not a directory")
+    argv = ["run", "--config", str(config), "--realizations", "1"]
+    code, err = _run_with_closed_stdout(argv + ["--out", str(tmp_path / "blocker" / "out")])
+    assert code == 3 and err.startswith("i/o error: cannot write results")
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):

@@ -779,3 +779,52 @@ def test_early_exit_keeps_settling_that_starts_on_the_anchor(monkeypatch, fig_pa
     assert actual.iterations_run[0] == 2 * control.REPEAT_WINDOW + 2
     assert actual.stabilized_iteration[0] == expected.stabilized_iteration[0] == 33
     assert actual.power[0, 0] == expected.power[0, 0] == cap
+
+
+@pytest.mark.parametrize("circuit_power", [None, 0.1])
+@pytest.mark.parametrize("iterations", [1, 2, 17, 33])
+@pytest.mark.parametrize("receiver", ["mf", "dec"])
+def test_short_rounds_count_alike_with_and_without_early_exit(
+    monkeypatch, fig_params, receiver, iterations, circuit_power
+):
+    # Rows start above their fixed points by 1e-1 to 1e-7 of their powers, so they
+    # settle at different iterations.  The settling bookkeeping of a round that may
+    # leave early must give the counters of the full-length runs: the trajectory=
+    # run and the reference loop.  No anchor is compared before step 17, so every
+    # row runs its whole budget up to 17 iterations; at 33 a row whose powers all
+    # sit at the cap repeats its anchor at step 17 and leaves at step 18.
+    if circuit_power is not None:  # 0.1 W flags some decorrelator targets
+        fig_params = dataclasses.replace(fig_params, circuit_power=circuit_power)
+    geometry = ce.RingGeometry(50.0, 200.0)
+    scenarios = [
+        ce.draw_scenario(geometry, 6, 15, receiver, realization_seed(20260810, r)) for r in range(7)
+    ]
+    gain = np.stack([s.channel.gain_power for s in scenarios])
+    corr = np.stack([s.codes.correlation for s in scenarios])
+    fixed = run_control_batch(gain, corr, receiver, "baseline", fig_params).power
+    start = fixed * (1.0 + 10.0 ** -np.arange(1.0, 8.0))[:, None]
+
+    def run(**kwargs):
+        return run_control_batch(
+            gain, corr, receiver, "baseline", fig_params, iterations=iterations,
+            initial_power=start, **kwargs,
+        )
+
+    actual, full = run(), run(trajectory=[])
+    with monkeypatch.context() as patch:
+        patch.setattr(control, "_batch_round", reference_batch_round)
+        expected = run()
+    for name in ("stabilized_iteration", "rounds", "target_flagged"):
+        assert np.array_equal(getattr(actual, name), getattr(full, name)), name
+        assert np.array_equal(getattr(actual, name), getattr(expected, name)), name
+    budget = full.rounds * iterations
+    assert np.array_equal(full.iterations_run, budget)
+    assert np.array_equal(expected.iterations_run, budget)
+    left = actual.iterations_run != budget
+    if iterations <= control.REPEAT_WINDOW + 1:
+        assert not left.any()
+    else:
+        assert np.all(actual.iterations_run[left] == control.REPEAT_WINDOW + 2)
+        assert np.all(fixed[left] == fig_params.max_power)
+    if iterations == 33:
+        assert np.unique(actual.stabilized_iteration).size > 1

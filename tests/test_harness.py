@@ -164,6 +164,26 @@ def test_paired_draws_share_checksums():
     assert sums_a == sums_b
 
 
+def test_draws_come_from_the_three_spawned_children_of_the_seed():
+    # draw_scenario builds its streams by spawn key; they are spawn(3)'s children.
+    ring = ce.RingGeometry(50.0, 200.0)
+    for seed in (0, 7, 20260810):
+        children = np.random.SeedSequence(seed).spawn(3)
+        for i, child in enumerate(children):
+            keyed = np.random.SeedSequence(seed, spawn_key=(i,))
+            assert np.array_equal(
+                np.random.default_rng(keyed).random(8), np.random.default_rng(child).random(8)
+            )
+        placement_rng, fading_rng, codes_rng = map(np.random.default_rng, children)
+        scenario = ce.draw_scenario(ring, 5, 15, "mf", seed)
+        placement = ce.draw_placement(ring, 5, placement_rng)
+        channel = ce.draw_channel(placement, 2.0, "rayleigh", fading_rng)
+        codes = ce.generate_codes(15, 5, codes_rng)
+        assert np.array_equal(scenario.placement, placement)
+        assert np.array_equal(scenario.channel.gains, channel.gains)
+        assert np.array_equal(scenario.codes.chips, codes.chips)
+
+
 @pytest.mark.parametrize("receiver", ["mf", "dec"])
 def test_first_users_of_a_draw_equal_a_fresh_draw(receiver):
     # The harness runs every K on a slice of one draw at the largest K.

@@ -280,6 +280,27 @@ def test_root_tables_do_not_depend_on_build_order():
     assert build(keys) == build(keys[::-1])
 
 
+def test_batch_solver_keeps_the_input_shape_and_its_values():
+    # The solver works in temporaries of the input's shape: 0-d, 1-d and 2-d
+    # input give that shape back, with each entry's bytes as in a flat batch.
+    params = make_params(circuit_power=ce.dbm_to_watt(7.0))
+    itf = np.geomspace(1e-14, 1e-2, 12)
+    flat, flat_flags = ce.solve_optimal_sinr_batch(itf, params)
+    assert flat_flags.any() and not flat_flags.all()
+    assert np.all(flat[flat_flags] == BRACKET_MAX)
+    for shape in ((12,), (3, 4), (2, 2, 3)):
+        sinr, flags = ce.solve_optimal_sinr_batch(itf.reshape(shape), params)
+        assert sinr.shape == flags.shape == shape
+        assert np.array_equal(sinr.view(np.int64), flat.reshape(shape).view(np.int64))
+        assert np.array_equal(flags, flat_flags.reshape(shape))
+    for i, value in enumerate(itf):
+        for scalar in (value, np.float64(value), np.array(value), float(value)):
+            sinr, flag = ce.solve_optimal_sinr_batch(scalar, params)
+            assert np.shape(sinr) == np.shape(flag) == ()
+            assert np.asarray(sinr).view(np.int64) == flat.view(np.int64)[i]
+            assert flag == flat_flags[i]
+
+
 def test_batch_solver_rejects_bad_interference():
     # Every value that is not positive and finite, first and last in a batch.
     params = make_params()
