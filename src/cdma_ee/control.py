@@ -30,7 +30,7 @@ batches or split across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,20 +75,6 @@ class BatchControlResult:
     failed: np.ndarray
     iterations_run: np.ndarray  # Verhulst iterations each row ran, over all rounds
     failure_reasons: dict[int, str] = field(default_factory=dict)
-
-    def part(self, rows: slice, users: int) -> BatchControlResult:
-        """The outcome of ``rows`` (a slice with a start and a stop) over their first ``users``."""
-        values = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "failure_reasons":
-                value = {b - rows.start: why for b, why in value.items() if rows.start <= b < rows.stop}
-            else:
-                value = value[rows]
-                if isinstance(value, np.ndarray) and value.ndim == 2:
-                    value = value[:, :users]
-            values[f.name] = value
-        return BatchControlResult(**values)
 
 
 def mf_width(users: int) -> int:
@@ -205,8 +191,8 @@ def _batch_round(
             act = inputs[3]  # only active users are solved
             try:
                 targets[act], no_interior = solve_optimal_sinr_batch(eff_itf[act], params)
-            except ValueError as exc:  # interference the loop made from its powers overflowed
-                raise FloatingPointError(f"Verhulst loop: {exc}; check max_power_w") from exc
+            except ValueError as exc:  # an MAI sum of the loop's powers overflowed
+                raise FloatingPointError(exc) from exc
             if no_interior.any():
                 flagged[live[active_row[no_interior]]] = True
             divisor, off = _switches(targets)  # fixed for a decorrelator round
@@ -320,8 +306,6 @@ def run_control_batch(
     if receiver == "mf":
         weights = np.zeros((batch, users, mf_width(users)))
         weights[..., :users] = mf_mai_weights(correlation)
-    if not params.noise_power > 0.0:
-        raise ConfigurationError("noise_power must be positive")
     start = params.noise_power if initial_power is None else initial_power
     base_power = np.broadcast_to(np.asarray(start, dtype=float), (batch, users))
     if not np.all((base_power >= 0.0) & (base_power < np.inf)):
@@ -365,17 +349,14 @@ def run_control_batch(
         if rows.size == 0:
             break
 
-        power, sinr, targets, eff_itf, stab, change, flagged, ran = _batch_round(
-            gain_power[rows],
-            weights[rows] if weights is not None else None,
-            dec_itf,
-            active[rows],
-            params,
-            iterations,
-            alpha,
-            base_power[rows],
-            trajectory=trajectory,
-        )
+        try:  # a power the loop drives past the float range is an error where it happens
+            with np.errstate(over="raise"):
+                power, sinr, targets, eff_itf, stab, change, flagged, ran = _batch_round(
+                    gain_power[rows], None if weights is None else weights[rows], dec_itf,
+                    active[rows], params, iterations, alpha, base_power[rows], trajectory,
+                )
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"Verhulst loop: {exc}; check max_power_w") from exc
         iterations_run[rows] += ran
         target_flagged[rows] |= flagged
         rates = rate(sinr, params.gap(), params.bandwidth)

@@ -4,8 +4,11 @@ A run sweeps the user count K over realizations.  ``run_block`` draws each
 realization r of a block once, at the largest K, from the substream
 ``seed + r``; each K runs on the first K users of that draw, which equal a
 fresh draw at K (see ``seeding``), and records a hash of those users' draws.
-Under the matched filter every K of a block runs in one control batch.
-``run`` and ``solve`` both go through it.
+Under the matched filter every K of a block runs in one control batch, under
+the decorrelator each K in its own.  A batch's rows are (K, realization)
+pairs, K-major, and each is turned into its record or error entry, and into
+its K's counters, in one pass over the batch.  ``run`` and ``solve`` both go
+through ``run_block``.
 Two runs with equal seeds that differ only in algorithm or receiver therefore
 consume identical draws, and their metrics compare as paired samples.  Blocks
 of realizations are independent work units; results are sorted by
@@ -285,10 +288,11 @@ def run_block(config: ScenarioConfig, user_counts: list[int], realizations: list
     each K runs on the first K users of every draw.  This relies on the prefix
     property of the draws (see ``seeding``): those users' draws are the ones a
     fresh draw at K gives.  Under the matched filter every K runs in one
-    control batch, whose rows are (K, realization) pairs on those draws, each
-    starting with its first K users active; under the decorrelator each K runs
-    as its own batch.  Yields ``(K, seeds, draws, result)`` per K in
-    ``user_counts`` order; the draws are those at the largest K.
+    control batch; under the decorrelator each K runs as its own batch.  Yields
+    ``(ks, seeds, draws, result)`` per batch: row b of ``result`` runs
+    realization ``realizations[b % len(realizations)]`` with its first
+    ``ks[b]`` users active (``ks`` is K-major, in ``user_counts`` order), and
+    the draws are those at the largest K.
     """
     for k_users in user_counts:
         if reason := _refusal(config, k_users):
@@ -308,7 +312,7 @@ def run_block(config: ScenarioConfig, user_counts: list[int], realizations: list
     ]
     params, size = config.ee_params(), len(draws)
     for group in [user_counts] if config.receiver == "mf" else [[k] for k in user_counts]:
-        width = max(group)
+        width, ks = max(group), np.repeat(group, size)
         result = run_control_batch(
             np.stack([draw.channel.gain_power[:width] for _ in group for draw in draws]),
             np.stack([draw.codes.correlation[:width, :width] for _ in group for draw in draws]),
@@ -317,35 +321,33 @@ def run_block(config: ScenarioConfig, user_counts: list[int], realizations: list
             params,
             iterations=config.iterations,
             alpha=config.alpha,
-            active=np.arange(width) < np.repeat(group, size)[:, None],
+            active=np.arange(width) < ks[:, None],
         )
-        for i, k_users in enumerate(group):
-            yield k_users, seeds, draws, result.part(slice(i * size, (i + 1) * size), k_users)
+        yield ks, seeds, draws, result
 
 
 def _run_chunk(config: ScenarioConfig, user_counts: list[int], realizations: list[int]):
     """Run a block of realizations at every K and turn it into records (worker entry point).
 
-    Returns, per K in ``user_counts`` order, ``(K, records, errors,
-    diagnostics)``: the records of the kept realizations, an error entry for
-    each refused one and the kept ones' counters: Verhulst iterations run and
-    budgeted (rounds times ``iterations``), rounds and flagged solves.
+    Returns ``(records, errors, diagnostics)``: the records of the kept
+    realizations, an error entry for each refused one and, by str(K), the kept
+    ones' counters: Verhulst iterations run and budgeted (rounds times
+    ``iterations``), rounds and flagged solves.
     """
     params = config.ee_params()
-    gap, circuit = params.gap(), params.circuit_power
-    chunk = []
-    for k_users, seeds, draws, result in run_block(config, user_counts, realizations):
+    gap, circuit, size = params.gap(), params.circuit_power, len(realizations)
+    records, errors, diagnostics = [], [], {}
+    for ks, seeds, draws, result in run_block(config, user_counts, realizations):
         kept = np.flatnonzero(~result.failed)
-        rounds = int(result.rounds[kept].sum())
-        diagnostics = {
-            "verhulst_iterations": {
-                "run": int(result.iterations_run[kept].sum()), "budget": rounds * config.iterations
-            },
-            "rounds": rounds,
-            "target_flagged": int(result.target_flagged[kept].sum()),
-        }
+        for k_users in np.unique(ks).tolist():
+            mine = kept[ks[kept] == k_users]
+            rounds, ran = int(result.rounds[mine].sum()), int(result.iterations_run[mine].sum())
+            diagnostics[str(k_users)] = dict(
+                verhulst_iterations=dict(run=ran, budget=rounds * config.iterations),
+                rounds=rounds, target_flagged=int(result.target_flagged[mine].sum()),
+            )
         # Sum rate, sum power and global EE over the rows of each active count at once.
-        sum_rate, sum_power, ee = (np.zeros(len(realizations)) for _ in range(3))
+        sum_rate, sum_power, ee = (np.zeros(len(ks)) for _ in range(3))
         counts = result.active[kept].sum(axis=1)
         for k in np.unique(counts):
             rows = kept[counts == k]
@@ -356,26 +358,25 @@ def _run_chunk(config: ScenarioConfig, user_counts: list[int], realizations: lis
             sum_rate[rows] = rates.sum(axis=1)
             sum_power[rows] = (power + circuit).sum(axis=1)
             ee[rows] = global_ee(rates, sinr, power, params)
-        errors = [
-            dict(k_users=k_users, realization=realizations[b], error=result.failure_reasons[b])
-            for b in np.flatnonzero(result.failed)
+        errors += [
+            dict(k_users=int(ks[b]), realization=realizations[b % size], error=why)
+            for b, why in sorted(result.failure_reasons.items())
         ]
-        columns = [sum_rate, sum_power, ee, result.rounds, result.converged]
+        columns = [ks, sum_rate, sum_power, ee, result.rounds, result.converged]
         columns += [result.stabilized_iteration, result.target_flagged]
-        records = [  # in RealizationRecord's field order
+        records += [  # in RealizationRecord's field order
             RealizationRecord(
-                k_users, realizations[b], seeds[b], rate_sum, power_sum,
+                k_users, realizations[b % size], seeds[b % size], rate_sum, power_sum,
                 power_sum + len(result.removed[b]) * circuit, ee_b,
                 len(result.removed[b]) / k_users, len(result.removed[b]), tuple(result.removed[b]),
                 rounds, converged, stab if stab >= 0 else None, flagged,
-                scenario_checksum(draws[b], k_users),
+                scenario_checksum(draws[b % size], k_users),
             )
-            for b, rate_sum, power_sum, ee_b, rounds, converged, stab, flagged in zip(
+            for b, k_users, rate_sum, power_sum, ee_b, rounds, converged, stab, flagged in zip(
                 kept.tolist(), *(column[kept].tolist() for column in columns)
             )
         ]
-        chunk.append((k_users, records, errors, diagnostics))
-    return chunk
+    return records, errors, diagnostics
 
 
 def run_environment(workers: int) -> dict:
@@ -417,12 +418,13 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
             outcomes = list(pool.map(run_chunk, tasks))
     else:
         outcomes = list(map(run_chunk, tasks))
-    for k_users, records, chunk_errors, counters in itertools.chain(*outcomes):
+    for records, chunk_errors, chunk_diagnostics in outcomes:
         rows.extend(records)
         errors.extend(chunk_errors)
-        entry = diagnostics.setdefault(str(k_users), {"verhulst_iterations": Counter()})
-        entry["verhulst_iterations"].update(counters.pop("verhulst_iterations"))
-        entry.update({name: entry.get(name, 0) + count for name, count in counters.items()})
+        for k_users, counters in chunk_diagnostics.items():
+            entry = diagnostics.setdefault(k_users, {"verhulst_iterations": Counter()})
+            entry["verhulst_iterations"].update(counters.pop("verhulst_iterations"))
+            entry.update({name: entry.get(name, 0) + count for name, count in counters.items()})
 
     rows.sort(key=lambda row: (row.k_users, row.realization))
     errors.sort(key=lambda err: (err["k_users"], err.get("realization", -1)))

@@ -77,12 +77,13 @@ class EEParams:
     def __post_init__(self):
         if not 0 < self.info_bits <= self.packet_bits:
             raise ValueError("need 0 < info_bits <= packet_bits")
-        if self.circuit_power < 0.0:
-            raise ValueError("circuit_power must be >= 0")
-        if self.max_power <= 0.0 or self.noise_power <= 0.0 or self.bandwidth <= 0.0:
-            raise ValueError("max_power, noise_power and bandwidth must be positive")
-        if self.min_rate < 0.0:
-            raise ValueError("min_rate must be >= 0")
+        # Written so that NaN fails each check, as infinities do.
+        if not 0.0 <= self.circuit_power < math.inf:
+            raise ValueError("circuit_power must be finite and >= 0")
+        if not all(0.0 < v < math.inf for v in (self.max_power, self.noise_power, self.bandwidth)):
+            raise ValueError("max_power, noise_power and bandwidth must be finite and positive")
+        if not 0.0 <= self.min_rate < math.inf:
+            raise ValueError("min_rate must be finite and >= 0")
         # Validates the BER range; solved once here, as every solve reads it.
         object.__setattr__(self, "_gap", sinr_gap(self.ber))
 

@@ -122,9 +122,9 @@ def solve_optimal_sinr_batch(
         raise ValueError("eff_interference must be positive and finite")
     gap, packet_bits = params.gap(), params.packet_bits
     coefficients, threshold = _root_table(gap, packet_bits)
-    rho = params.circuit_power / itf
     # rho = 0 clips to the first node; flagged entries may step anywhere and are replaced.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rho = params.circuit_power / itf  # inf past the float range: flagged like any large rho
         position = np.log(rho, out=np.empty(itf.shape))  # temporaries of the input's shape
         np.maximum(-TABLE_LOG_RHO, position, out=position)  # bound first: np.clip's bits
         np.minimum(TABLE_LOG_RHO, position, out=position)

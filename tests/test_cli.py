@@ -405,6 +405,18 @@ def test_bad_config_exits_with_config_code(tmp_path, capsys, overrides, named):
     assert "configuration error" in err and named in err
 
 
+@pytest.mark.parametrize(
+    "text, named",
+    [("system: [unclosed\n", "is not valid YAML"), ("- a\n- b\n", "must be a mapping document")],
+)
+def test_unreadable_config_document_exits_with_config_code(tmp_path, capsys, text, named):
+    path = tmp_path / "config.yaml"
+    path.write_text(text)
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: config {str(path)!r} {named}")
+
+
 def test_workers_env_var_makes_run_parallel_and_is_echoed(tmp_path, monkeypatch):
     monkeypatch.setenv("CDMA_EE_WORKERS", "2")
     assert main(["run", "--config", str(write_config(tmp_path))]) == 0
@@ -579,12 +591,12 @@ def test_overflowing_interference_exits_with_numeric_code(tmp_path, capsys, comm
     assert err.startswith("numerical error: effective interference") and err.count("\n") == 1
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["run", "solve"])
 def test_overflowing_loop_interference_exits_with_numeric_code(tmp_path, capsys, command):
     # Gains near 1e252 pass the entry checks, but with a 1e300 W cap the received
-    # powers of the matched-filter loop overflow after about 390 iterations; its
-    # solve refuses the interference as a numerical error.
+    # powers of the matched-filter loop overflow after about 390 iterations: a
+    # numerical error where it happens, with no warning before its one line.
     config = write_config(
         tmp_path, seed=3, realizations=4, control={"iterations": 500},
         system={"processing_gain": 15, "user_counts": [14], "algorithm": "baseline",
@@ -595,9 +607,20 @@ def test_overflowing_loop_interference_exits_with_numeric_code(tmp_path, capsys,
     argv = [command, "--config", str(config)] + (["--k", "14"] if command == "solve" else [])
     assert main(argv) == 4
     err = capsys.readouterr().err
-    assert err.startswith("numerical error: Verhulst loop: eff_interference must be positive")
-    assert err.count("\n") == 1
+    loop = "Verhulst loop: overflow encountered in multiply; check max_power_w"
+    assert err == f"numerical error: {loop}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("receiver", ["mf", "dec"])
+def test_a_loop_that_settles_far_below_a_huge_cap_runs(tmp_path, capsys, receiver):
+    config = write_config(tmp_path, radio={"max_power_w": 1.0e300})
+    assert main(["run", "--config", str(config), "--receiver", receiver]) == 0
+    assert capsys.readouterr().err == ""
+    with open(tmp_path / "out" / "raw.csv") as handle:
+        powers = [float(row["sum_power_w"]) for row in csv.DictReader(handle)]
+    assert len(powers) == 4 and max(powers) < 1.0
 
 
 def _run_with_closed_stdout(argv):

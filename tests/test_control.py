@@ -379,15 +379,19 @@ def test_dec_stack_rows_match_single_runs(monkeypatch, fig_params, block_values)
     assert np.array_equal(alone.eff_interference, batch.eff_interference[regular])
 
 
-def _assert_same_result(actual, expected):
-    """Two results hold the same bytes in every field."""
+def _assert_same_result(batch, rows, users, expected):
+    """``rows`` (a slice) of ``batch``, over their first ``users``, hold the bytes of
+    ``expected`` in every field; refusal reasons are keyed by row within ``rows``."""
     for f in dataclasses.fields(expected):
-        a, e = getattr(actual, f.name), getattr(expected, f.name)
+        a, e = getattr(batch, f.name), getattr(expected, f.name)
         if isinstance(e, np.ndarray):
+            a = a[rows, :users] if a.ndim == 2 else a[rows]
             assert a.shape == e.shape and a.dtype == e.dtype, f.name
             assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(e).tobytes(), f.name
+        elif f.name == "failure_reasons":
+            assert {b - rows.start: why for b, why in a.items() if rows.start <= b < rows.stop} == e
         else:
-            assert a == e, f.name
+            assert a[rows] == e, f.name
 
 
 @pytest.mark.parametrize("receiver", ["mf", "dec"])
@@ -412,7 +416,7 @@ def test_rows_started_on_their_first_users_equal_the_k_column_run(fig_params, re
         alone = run_control_batch(
             gain[:, :k], corr[:, :k, :k], receiver, "alg1", params, iterations=iterations
         )
-        _assert_same_result(started.part(slice(0, 5), k), alone)
+        _assert_same_result(started, slice(0, 5), k, alone)
         assert not started.power[:, k:].any() and not started.active[:, k:].any()
         for path, batch_gain, batch_corr, mask in (
             (started_path, gain, corr, np.tile(first, (5, 1))),
@@ -442,27 +446,7 @@ def test_rows_of_different_k_in_one_batch_equal_each_run_alone(fig_params):
     )
     for b, k in enumerate(row_users):
         alone = run_control_batch(gain[b : b + 1, :k], corr[b : b + 1, :k, :k], "mf", "alg1", fig_params)
-        _assert_same_result(batch.part(slice(b, b + 1), k), alone)
-
-
-def test_result_part_keeps_the_rows_and_users_it_names(fig_params):
-    # N = K = 4 DEC: refused rows, whose reasons are keyed by their row in the part.
-    scenarios = [
-        ce.draw_scenario(ce.RingGeometry(50.0, 2000.0), 4, 4, "dec", realization_seed(5, r))
-        for r in range(20)
-    ]
-    gain = np.stack([s.channel.gain_power for s in scenarios])
-    corr = np.stack([s.codes.correlation for s in scenarios])
-    whole = run_control_batch(gain, corr, "dec", "alg1", fig_params, iterations=100)
-    assert any(b < 7 for b in whole.failure_reasons) and any(b >= 7 for b in whole.failure_reasons)
-    part = whole.part(slice(7, 20), 2)
-    for f in dataclasses.fields(whole):
-        value = getattr(whole, f.name)
-        if isinstance(value, np.ndarray):
-            expected = value[7:, :2] if value.ndim == 2 else value[7:]
-            assert np.array_equal(getattr(part, f.name), expected), f.name
-    assert part.removed == whole.removed[7:]
-    assert part.failure_reasons == {b - 7: why for b, why in whole.failure_reasons.items() if b >= 7}
+        _assert_same_result(batch, slice(b, b + 1), k, alone)
 
 
 def test_active_mask_of_the_wrong_shape_is_refused(fig_params):

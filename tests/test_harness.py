@@ -247,8 +247,18 @@ def test_run_block_makes_one_control_batch_per_block_under_mf_and_per_k_under_de
     monkeypatch.setattr(harness, "run_control_batch", counting_run)
     config = tiny_config(receiver=receiver, user_counts=(2, 5, 12), iterations=60)
     blocks = list(run_block(config, list(config.user_counts), [0, 1, 2]))
-    assert [k for k, _, _, _ in blocks] == [2, 5, 12]
-    assert [result.power.shape for _, _, _, result in blocks] == [(3, 2), (3, 5), (3, 12)]
+    rows = [[2] * 3 + [5] * 3 + [12] * 3] if receiver == "mf" else [[2] * 3, [5] * 3, [12] * 3]
+    assert [ks.tolist() for ks, _, _, _ in blocks] == rows
+    assert [result.power.shape for _, _, _, result in blocks] == widths
+    # Each K's rows, cut to K users: no user past K is active.
+    per_k = [
+        (k, result.power[ks == k, :k].shape, result.active[ks == k, k:].any())
+        for ks, _, _, result in blocks for k in dict.fromkeys(ks.tolist())
+    ]
+    assert per_k == [(2, (3, 2), False), (5, (3, 5), False), (12, (3, 12), False)]
+    for ks, seeds, draws, _ in blocks:
+        assert seeds == [harness.realization_seed(config.seed, r) for r in range(3)]
+        assert [draw.channel.gain_power.shape for draw in draws] == [(12,)] * 3
     assert widths == ([(9, 12)] if receiver == "mf" else [(3, 2), (3, 5), (3, 12)])
     assert len(widths) == calls
 
@@ -421,9 +431,9 @@ def test_grouped_metrics_equal_each_row_alone():
     params = config.ee_params()
     circuit = params.circuit_power
     realizations = list(range(config.realizations))
-    for k_users, _, _, result in run_block(config, list(config.user_counts), realizations):
+    for ks, _, _, result in run_block(config, list(config.user_counts), realizations):
         for b in np.flatnonzero(~result.failed):
-            row = records[k_users, b]
+            row = records[ks[b], realizations[b % len(realizations)]]
             active = result.active[b]
             sinr, power = result.sinr[b][active], result.power[b][active]
             rates = ce.rate(sinr, params.gap(), config.bandwidth)
@@ -435,6 +445,31 @@ def test_grouped_metrics_equal_each_row_alone():
             assert row.global_ee == (float(np.sum(delivered) / total) if total > 0.0 else 0.0)
             if not active.any():
                 assert row.global_ee == 0.0
+
+
+def test_a_refused_rows_error_names_its_own_k_and_realization():
+    # DEC at N = 4 refuses some rows at K = 3 and 4; a block that starts at realization 7
+    # has refused rows before it and in it, and each of its error entries must
+    # name the (K, realization) whose batch-of-one run is refused for that reason.
+    config = tiny_config(
+        realizations=20,
+        processing_gain=4,
+        user_counts=(3, 4),
+        receiver="dec",
+        geometry=ce.RingGeometry(50.0, 2000.0),
+        max_power=1e-3,
+        iterations=100,
+    )
+    whole = run_experiment(config).errors
+    assert {err["realization"] < 7 for err in whole} == {True, False}
+    assert {err["k_users"] for err in whole} == {3, 4}
+    _, errors, _ = harness._run_chunk(config, [3, 4], list(range(7, 20)))
+    assert errors == [err for err in whole if err["realization"] >= 7]
+    for k_users in config.user_counts:
+        for r in range(config.realizations):
+            [(_, _, _, alone)] = run_block(config, [k_users], [r])
+            named = [e["error"] for e in whole if (e["k_users"], e["realization"]) == (k_users, r)]
+            assert named == ([alone.failure_reasons[0]] if alone.failed[0] else [])
 
 
 def test_run_experiment_takes_its_worker_count_from_the_config_alone(monkeypatch):
@@ -536,6 +571,23 @@ def test_paired_comparison_interval_is_mean_plus_minus_t_sem():
         assert v.samples == 3 and v.mean_diff == pytest.approx(np.mean(d), rel=1e-15)
         assert v.ci_low == pytest.approx(np.mean(d) - half, rel=1e-12)
         assert v.ci_high == pytest.approx(np.mean(d) + half, rel=1e-12)
+
+
+def test_paired_comparison_pairs_only_rows_present_in_both_runs():
+    report = run_experiment(tiny_config())
+    missing = {(2, 1), (2, 2), (3, 0)}  # run b lacks these rows: K = 2 keeps a single pair
+
+    def with_ee(value, rows):
+        rows = [dataclasses.replace(r, global_ee=value) for r in rows]
+        return dataclasses.replace(report, rows=rows)
+
+    report_a = with_ee(12.0, report.rows)
+    report_b = with_ee(10.0, [r for r in report.rows if (r.k_users, r.realization) not in missing])
+    single, pair = paired_comparison(report_a, report_b, "global_ee")
+    assert (single.k_users, single.samples, single.mean_diff) == (2, 1, 2.0)
+    assert (single.ci_low, single.ci_high) == (-np.inf, np.inf)
+    assert single.verdict == "indistinguishable"
+    assert (pair.k_users, pair.samples, pair.mean_diff, pair.verdict) == (3, 2, 2.0, "a>b")
 
 
 def test_paired_comparison_refusals():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -177,6 +178,16 @@ def test_ee_params_validation():
         ce.EEParams(**{**good, "ber": 0.15})
     with pytest.raises(ValueError):
         ce.EEParams(**{**good, "min_rate": -1.0})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "name", ["circuit_power", "bandwidth", "max_power", "noise_power", "min_rate", "ber"]
+)
+def test_ee_params_refuse_non_finite_numbers(fig_params, name, value):
+    # A NaN circuit power would reach the solver's table index as a huge negative int.
+    with pytest.raises(ValueError, match=name):
+        dataclasses.replace(fig_params, **{name: value})
 
 
 def test_ee_params_derived_quantities(fig_params):

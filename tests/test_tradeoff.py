@@ -114,8 +114,13 @@ def test_sweep_grid_validation(fig_params):
         ce.sweep_tradeoff([distances], codes, fig_params, "mf", 1e-2, sweep_points=0)
     with pytest.raises(ce.ConfigurationError):
         ce.sweep_tradeoff([distances], codes, fig_params, "zf", 1e-2)
-    with pytest.raises(ce.ConfigurationError, match="one row per curve"):
-        ce.sweep_tradeoff(distances, codes, fig_params, "mf", 1e-2)
+    for rows in (distances, [[distances]]):  # 1-D and 3-D
+        with pytest.raises(ce.ConfigurationError, match="one row per curve"):
+            ce.sweep_tradeoff(rows, codes, fig_params, "mf", 1e-2)
+    with pytest.raises(ce.ConfigurationError, match="interferer powers must be >= 0"):
+        ce.sweep_tradeoff([distances], codes, fig_params, "mf", [1e-2, -1e-3])
+    with pytest.raises(ce.ConfigurationError, match="fading_draws must be >= 1"):
+        ce.sweep_tradeoff([distances], codes, fig_params, "mf", 1e-2, fading_draws=0)
 
 
 def test_dec_curve_ignores_interferer_powers(fig_params):
