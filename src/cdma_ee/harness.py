@@ -6,15 +6,15 @@ realization r of a block once, at the largest K, from the substream
 fresh draw at K (see ``seeding``), and records a hash of those users' draws.
 Under the matched filter every K of a block runs in one control batch, under
 the decorrelator each K in its own.  A batch's rows are (K, realization)
-pairs, K-major, and each is turned into its record or error entry, and into
-its K's counters, in one pass over the batch.  ``run`` and ``solve`` both go
-through ``run_block``.
+pairs, K-major: its kept rows become a row table (``ROW_DTYPE``, one field
+per ``raw.csv`` column) and its refused ones error entries, column by column.
+``run`` and ``solve`` both go through ``run_block``.
 Two runs with equal seeds that differ only in algorithm or receiver therefore
 consume identical draws, and their metrics compare as paired samples.  Blocks
-of realizations are independent work units; results are sorted by
-(K, realization) before aggregation, which makes the output identical under
-serial and parallel execution.  ``write_csv`` and ``write_json`` write every
-output file.
+of realizations are independent work units; their tables are joined and
+sorted by (K, realization) before aggregation, which makes the output
+identical under serial and parallel execution.  ``write_csv`` and
+``write_json`` write every output file.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import hashlib
 import itertools
 import json
 import math
-import operator
 import os
 import platform
 from collections import Counter
@@ -123,7 +122,9 @@ class ScenarioConfig:
     def __post_init__(self):
         counts = self.user_counts
         self._check(
-            ("seed", self.seed >= 0, "must be >= 0"),
+            # Realization r's seed, seed + r, must fit the row table's int64 field.
+            ("seed", 0 <= self.seed <= 2**63 - self.realizations,
+             "must be in [0, 2**63 - realizations]"),
             ("realizations", self.realizations >= 1, "must be >= 1"),
             ("workers", self.workers >= 0, "must be >= 0"),
             ("processing_gain", self.processing_gain >= 1, "must be >= 1"),
@@ -185,28 +186,24 @@ _LOCATION = {
 _HINTS = get_type_hints(ScenarioConfig)
 
 
-@dataclass(frozen=True)
-class RealizationRecord:
-    """Metrics of one finished realization; a field's ``raw.csv`` column is its
-    name unless its metadata names another."""
-
-    k_users: int
-    realization: int
-    seed: int
-    sum_rate: float = field(metadata={"column": "sum_rate_bit_per_s"})
-    sum_power: float = field(metadata={"column": "sum_power_w"})
-    sum_power_incl_removed_circuit: float = field(
-        metadata={"column": "sum_power_incl_removed_circuit_w"}
-    )
-    global_ee: float = field(metadata={"column": "global_ee_bit_per_joule"})
-    outage_fraction: float
-    removed_count: int
-    removed_order: tuple[int, ...]
-    rounds: int
-    converged: bool
-    stabilized_iteration: int | None
-    target_flagged: bool
-    draw_checksum: str
+# One finished realization's row: (raw.csv column, row table field, the field's type), in order.
+_ROW_FIELDS = [
+    ("k_users", "k_users", int),
+    ("realization", "realization", int),
+    ("seed", "seed", int),
+    ("sum_rate_bit_per_s", "sum_rate", float),
+    ("sum_power_w", "sum_power", float),
+    ("sum_power_incl_removed_circuit_w", "sum_power_incl_removed_circuit", float),
+    ("global_ee_bit_per_joule", "global_ee", float),
+    ("outage_fraction", "outage_fraction", float),
+    ("removed_count", "removed_count", int),
+    ("removed_order", "removed_order", tuple[int, ...]),
+    ("rounds", "rounds", int),
+    ("converged", "converged", bool),
+    ("stabilized_iteration", "stabilized_iteration", int | None),
+    ("target_flagged", "target_flagged", bool),
+    ("draw_checksum", "draw_checksum", str),
+]
 
 
 def _codec(hint):
@@ -226,14 +223,32 @@ def _codec(hint):
     return hint, float.__repr__ if hint is float else str
 
 
-# (raw.csv column, record field, cell parser, cell formatter), in column order.
-_RAW_SCHEMA = [
-    (f.metadata.get("column", f.name), f.name, *_codec(hint))
-    for f, hint in zip(fields(RealizationRecord), get_type_hints(RealizationRecord).values())
-]
+# (raw.csv column, row field, cell parser, cell formatter), in column order.
+_RAW_SCHEMA = [(column, name, *_codec(hint)) for column, name, hint in _ROW_FIELDS]
 RAW_COLUMNS = [column for column, *_ in _RAW_SCHEMA]
+# The row table: ints, floats and bools as native fields; tuples, None-or-int and str as objects.
+ROW_DTYPE = np.dtype([(name, hint if hint in (int, float, bool) else object)
+                      for _, name, hint in _ROW_FIELDS])
 
-# aggregate.csv column of each per-K mean -> the record field it averages.
+
+def _table(*columns) -> np.ndarray:
+    """The row table of ``columns``, one per ``ROW_DTYPE`` field in order."""
+    table = np.empty(len(columns[0]), ROW_DTYPE)
+    for name, column in zip(ROW_DTYPE.names, columns):
+        # fromiter: assigning a list of tuples would spread each tuple over a row.
+        table[name] = np.fromiter(column, object) if ROW_DTYPE[name] == object else column
+    return table
+
+
+def _repeats(k_users: np.ndarray, realization: np.ndarray):
+    """Indices ``(i, j)``, i < j, of each row and the next one with its (K, realization)."""
+    order = np.lexsort((realization, k_users))  # stable: equal pairs keep their order
+    k_users, realization = k_users[order], realization[order]
+    same = np.flatnonzero((k_users[1:] == k_users[:-1]) & (realization[1:] == realization[:-1]))
+    return order[same], order[same + 1]
+
+
+# aggregate.csv column of each per-K mean -> the row field it averages.
 AGGREGATE_MEANS = {
     "mean_sum_rate_bit_per_s": "sum_rate",
     "mean_sum_power_w": "sum_power",
@@ -248,10 +263,10 @@ AGGREGATE_COLUMNS = ["k_users", "realizations", "failed_realizations", *AGGREGAT
 
 @dataclass
 class RunReport:
-    """Per-realization rows and run metadata; ``aggregate_rows`` derives the per-K means."""
+    """Run metadata and the row table ``rows``, one ``ROW_DTYPE`` element per kept row."""
 
     config: ScenarioConfig
-    rows: list[RealizationRecord]
+    rows: np.ndarray
     errors: list[dict]
     # Per-K counters of the kept rows by str(K): verhulst_iterations, rounds, target_flagged.
     diagnostics: dict = field(default_factory=dict)
@@ -259,17 +274,15 @@ class RunReport:
     environment: dict = field(default_factory=dict)
 
 
-def aggregate_rows(rows: list[RealizationRecord], errors: list[dict]) -> list[dict]:
-    """Arithmetic means of the raw rows, one entry per K."""
+def aggregate_rows(rows: np.ndarray, errors: list[dict]) -> list[dict]:
+    """Arithmetic means of the row table's columns, one entry per K."""
     failures = Counter(err["k_users"] for err in errors if "realization" in err)
-    by_k: dict[int, list[RealizationRecord]] = {}
-    for row in rows:
-        by_k.setdefault(row.k_users, []).append(row)
     aggregates = []
-    for k_users in sorted(by_k):
-        group = by_k[k_users]
+    for k_users in np.unique(rows["k_users"]).tolist():
+        group = rows[rows["k_users"] == k_users]
         counts = [k_users, len(group), failures.get(k_users, 0)]
-        means = [float(np.mean([getattr(r, f) for r in group])) for f in AGGREGATE_MEANS.values()]
+        # A contiguous copy: NumPy sums a strided field view in 8192-row chunks, not pairwise.
+        means = [float(np.mean(group[f].copy())) for f in AGGREGATE_MEANS.values()]
         aggregates.append(dict(zip(AGGREGATE_COLUMNS, counts + means)))
     return aggregates
 
@@ -327,16 +340,16 @@ def run_block(config: ScenarioConfig, user_counts: list[int], realizations: list
 
 
 def _run_chunk(config: ScenarioConfig, user_counts: list[int], realizations: list[int]):
-    """Run a block of realizations at every K and turn it into records (worker entry point).
+    """Run a block of realizations at every K and turn it into rows (worker entry point).
 
-    Returns ``(records, errors, diagnostics)``: the records of the kept
+    Returns ``(rows, errors, diagnostics)``: the row table of the kept
     realizations, an error entry for each refused one and, by str(K), the kept
     ones' counters: Verhulst iterations run and budgeted (rounds times
     ``iterations``), rounds and flagged solves.
     """
     params = config.ee_params()
     gap, circuit, size = params.gap(), params.circuit_power, len(realizations)
-    records, errors, diagnostics = [], [], {}
+    tables, errors, diagnostics = [], [], {}
     for ks, seeds, draws, result in run_block(config, user_counts, realizations):
         kept = np.flatnonzero(~result.failed)
         for k_users in np.unique(ks).tolist():
@@ -362,21 +375,18 @@ def _run_chunk(config: ScenarioConfig, user_counts: list[int], realizations: lis
             dict(k_users=int(ks[b]), realization=realizations[b % size], error=why)
             for b, why in sorted(result.failure_reasons.items())
         ]
-        columns = [ks, sum_rate, sum_power, ee, result.rounds, result.converged]
-        columns += [result.stabilized_iteration, result.target_flagged]
-        records += [  # in RealizationRecord's field order
-            RealizationRecord(
-                k_users, realizations[b % size], seeds[b % size], rate_sum, power_sum,
-                power_sum + len(result.removed[b]) * circuit, ee_b,
-                len(result.removed[b]) / k_users, len(result.removed[b]), tuple(result.removed[b]),
-                rounds, converged, stab if stab >= 0 else None, flagged,
-                scenario_checksum(draws[b % size], k_users),
-            )
-            for b, k_users, rate_sum, power_sum, ee_b, rounds, converged, stab, flagged in zip(
-                kept.tolist(), *(column[kept].tolist() for column in columns)
-            )
-        ]
-    return records, errors, diagnostics
+        at, k_kept = kept % size, ks[kept]  # each kept row's realization index and K
+        removed = [result.removed[b] for b in kept.tolist()]
+        count = np.fromiter(map(len, removed), int, len(removed))
+        tables.append(_table(  # in ROW_DTYPE's field order
+            k_kept, np.take(realizations, at), np.take(seeds, at), sum_rate[kept],
+            sum_power[kept], sum_power[kept] + count * circuit, ee[kept], count / k_kept, count,
+            map(tuple, removed), result.rounds[kept], result.converged[kept],
+            [stab if stab >= 0 else None for stab in result.stabilized_iteration[kept].tolist()],
+            result.target_flagged[kept],
+            map(scenario_checksum, [draws[a] for a in at.tolist()], k_kept.tolist()),
+        ))
+    return np.concatenate(tables), errors, diagnostics
 
 
 def run_environment(workers: int) -> dict:
@@ -408,7 +418,6 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
     tasks = [split.tolist() for split in splits if len(split)]
     workers = max(min(config.workers, len(tasks)), 1)  # processes that run the blocks
 
-    rows: list[RealizationRecord] = []
     diagnostics: dict[str, dict] = {}
     run_chunk = functools.partial(_run_chunk, config, user_counts)
     if workers > 1:  # only here: loading the pool costs every other CLI call time
@@ -418,15 +427,15 @@ def run_experiment(config: ScenarioConfig) -> RunReport:
             outcomes = list(pool.map(run_chunk, tasks))
     else:
         outcomes = list(map(run_chunk, tasks))
-    for records, chunk_errors, chunk_diagnostics in outcomes:
-        rows.extend(records)
+    for _, chunk_errors, chunk_diagnostics in outcomes:
         errors.extend(chunk_errors)
         for k_users, counters in chunk_diagnostics.items():
             entry = diagnostics.setdefault(k_users, {"verhulst_iterations": Counter()})
             entry["verhulst_iterations"].update(counters.pop("verhulst_iterations"))
             entry.update({name: entry.get(name, 0) + count for name, count in counters.items()})
 
-    rows.sort(key=lambda row: (row.k_users, row.realization))
+    rows = np.concatenate([np.empty(0, ROW_DTYPE), *(rows for rows, _, _ in outcomes)])
+    rows = rows[np.lexsort((rows["realization"], rows["k_users"]))]
     errors.sort(key=lambda err: (err["k_users"], err.get("realization", -1)))
     return RunReport(
         config=config,
@@ -493,26 +502,24 @@ def paired_comparison(
                 "(only algorithm/receiver selection may differ)"
             )
 
-    field_name = METRIC_FIELDS[metric]
-    rows_b = {(row.k_users, row.realization): row for row in report_b.rows}
-    by_k: dict[int, list[tuple[float, float]]] = {}
-    for row_a in report_a.rows:
-        row_b = rows_b.get((row_a.k_users, row_a.realization))
-        if row_b is None:
-            continue
-        if row_a.draw_checksum != row_b.draw_checksum:
-            raise ConfigurationError(
-                f"refusing comparison: draws differ at K={row_a.k_users}, "
-                f"realization {row_a.realization}"
-            )
-        by_k.setdefault(row_a.k_users, []).append(
-            (getattr(row_a, field_name), getattr(row_b, field_name))
+    a, b = report_a.rows, report_b.rows
+    # A run holds each (K, realization) once, so each repeat in the two runs' rows pairs
+    # a row of a with one of b.  The pairs keep a's row order, which sets the bits of a mean.
+    i, j = _repeats(*(np.concatenate([a[name], b[name]]) for name in ("k_users", "realization")))
+    order = np.argsort(i)
+    i, j = i[order], j[order] - len(a)
+    if (differ := np.flatnonzero(a["draw_checksum"][i] != b["draw_checksum"][j])).size:
+        first = i[differ[0]]
+        raise ConfigurationError(
+            f"refusing comparison: draws differ at K={a['k_users'][first]}, "
+            f"realization {a['realization'][first]}"
         )
+    ks, field_name = a["k_users"][i], METRIC_FIELDS[metric]
+    paired = a[field_name][i].astype(float) - b[field_name][j]
 
     verdicts = []
-    for k_users in sorted(by_k):
-        pairs = np.asarray(by_k[k_users], dtype=float)
-        diffs = pairs[:, 0] - pairs[:, 1]
+    for k_users in np.unique(ks).tolist():
+        diffs = paired[ks == k_users]
         n = diffs.size
         mean = float(np.mean(diffs))
         if n > 1:
@@ -562,11 +569,10 @@ def write_json(path: str | Path, data) -> Path:
 
 def emit_results(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
     """Write the raw table, the aggregate table and the metadata sidecar."""
-    out = Path(out_dir)
-    checksums = {}
-    for row in report.rows:
-        digest = checksums.setdefault(str(row.k_users), hashlib.sha256())
-        digest.update(row.draw_checksum.encode())
+    out, rows, checksums = Path(out_dir), report.rows, {}
+    for k_users, checksum in zip(rows["k_users"].tolist(), rows["draw_checksum"].tolist()):
+        digest = checksums.setdefault(str(k_users), hashlib.sha256())
+        digest.update(checksum.encode())
     metadata = {
         "version": __version__,
         "seed": report.config.seed,
@@ -579,9 +585,8 @@ def emit_results(report: RunReport, out_dir: str | Path) -> dict[str, Path]:
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     # raw.csv is formatted column by column, each by its field's formatter.
-    raw = zip(*(map(render, map(operator.attrgetter(name), report.rows))
-                for _, name, _, render in _RAW_SCHEMA))
-    aggregates = aggregate_rows(report.rows, report.errors)
+    raw = zip(*(map(render, rows[name].tolist()) for _, name, _, render in _RAW_SCHEMA))
+    aggregates = aggregate_rows(rows, report.errors)
     aggregate = ([entry[col] for col in AGGREGATE_COLUMNS] for entry in aggregates)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -607,7 +612,7 @@ def read_report(run_dir: str | Path) -> RunReport:
     except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or a bad echo
         detail = 'no "config" entry' if isinstance(exc, (KeyError, TypeError)) else exc
         raise ConfigurationError(f"{meta_path}: {detail}") from exc
-    rows: dict[tuple[int, int], RealizationRecord] = {}  # by (K, realization)
+    tables, ends = [], []  # each parse block's rows, and the line each row ends on
     with raw_path.open(newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
@@ -628,11 +633,18 @@ def read_report(run_dir: str | Path) -> RunReport:
                 except (KeyError, ValueError) as exc:
                     where = f"{raw_path} line {numbers[len(parsed)]}"
                     raise ConfigurationError(f"{where}: bad {column} value {text!r}") from exc
-            for number, row in zip(numbers, map(RealizationRecord, *values)):
-                if (pair := (row.k_users, row.realization)) in rows:  # a pair is one sample
-                    where = f"{raw_path} line {number}"
-                    raise ConfigurationError(f"{where}: repeats K={pair[0]}, realization {pair[1]}")
-                rows[pair] = row
+            try:
+                tables.append(_table(*values))
+            except OverflowError as exc:  # an int cell past the table's 64-bit field
+                where = f"{raw_path} lines {numbers[0]}-{numbers[-1]}"
+                raise ConfigurationError(f"{where}: an int value exceeds 64 bits") from exc
+            ends.append(np.array(numbers))
+    rows = np.concatenate([np.empty(0, ROW_DTYPE), *tables])
+    if (repeats := _repeats(rows["k_users"], rows["realization"])[1]).size:  # one sample each
+        at = repeats.min()  # the first row whose pair an earlier row holds
+        where = f"{raw_path} line {np.concatenate(ends)[at]}"
+        pair = f"K={rows['k_users'][at]}, realization {rows['realization'][at]}"
+        raise ConfigurationError(f"{where}: repeats {pair}")
     errors = metadata.get("errors", [])
     if not isinstance(errors, list):
         raise ConfigurationError(f'{meta_path}: "errors" must be a list')
@@ -643,7 +655,7 @@ def read_report(run_dir: str | Path) -> RunReport:
             raise ConfigurationError(f'{meta_path}: bad "errors" entry {entry!r}')
     return RunReport(
         config=config,
-        rows=list(rows.values()),
+        rows=rows,
         errors=errors,
         diagnostics=metadata.get("diagnostics", {}),
         environment=metadata.get("environment", {}),
@@ -785,8 +797,11 @@ def load_config_data(path: str | Path) -> dict:
             raise ConfigurationError(f"config {path!r} is neither a file nor a known preset")
     try:
         data = yaml.safe_load(source.read_text())
-    except yaml.YAMLError as exc:
-        raise ConfigurationError(f"config {path!r} is not valid YAML: {exc}") from exc
+    except yaml.YAMLError as exc:  # on one line: the problem and its mark, else the first line
+        mark, detail = getattr(exc, "problem_mark", None), str(exc).partition("\n")[0]
+        if mark and exc.problem:
+            detail = f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
+        raise ConfigurationError(f"config {path!r} is not valid YAML: {detail}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError(f"config {path!r} must be a mapping document")
     return data

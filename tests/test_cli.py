@@ -396,6 +396,8 @@ def test_preset_configs_are_reachable(tmp_path):
         ({"system": {"geometry": {"kind": ["ring"], "inner_radius_m": 50.0,
                                   "outer_radius_m": 200.0}}},
          "system.geometry.kind must be one of ('ring',)"),
+        # seed + r seeds realization r, and the row table holds it as an int64.
+        ({"seed": 2**63 - 1}, "seed must be in [0, 2**63 - realizations]"),
     ],
 )
 def test_bad_config_exits_with_config_code(tmp_path, capsys, overrides, named):
@@ -407,14 +409,21 @@ def test_bad_config_exits_with_config_code(tmp_path, capsys, overrides, named):
 
 @pytest.mark.parametrize(
     "text, named",
-    [("system: [unclosed\n", "is not valid YAML"), ("- a\n- b\n", "must be a mapping document")],
+    [
+        ("system: [unclosed\n",
+         "is not valid YAML: expected ',' or ']', but got '<stream end>' at line 2, column 1"),
+        # A reader error carries no mark: its message's first line stands alone.
+        ('x: "\x00"\n',
+         "is not valid YAML: unacceptable character #x0000: special characters are not allowed"),
+        ("- a\n- b\n", "must be a mapping document"),
+    ],
 )
 def test_unreadable_config_document_exits_with_config_code(tmp_path, capsys, text, named):
     path = tmp_path / "config.yaml"
     path.write_text(text)
     assert main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"configuration error: config {str(path)!r} {named}")
+    assert err == f"configuration error: config {str(path)!r} {named}\n"  # one line
 
 
 def test_workers_env_var_makes_run_parallel_and_is_echoed(tmp_path, monkeypatch):
@@ -502,10 +511,13 @@ def _set_raw_cell(run_dir, row, column, value):
         # Rows of K = 2 and 3 at one realization fill lines 2 and 3.
         (lambda d: _append_raw_line(d, "2,0"), "raw.csv", "line 4: wrong cell count"),
         (_errors_not_a_list, "metadata.json", '"errors" must be a list'),
+        # The row table holds ints as int64: a larger cell is refused, not a crash.
+        (lambda d: _set_raw_cell(d, 1, "realization", str(2**64)), "raw.csv",
+         "lines 2-3: an int value exceeds 64 bits"),
     ],
     ids=["renamed_column", "no_config", "converged_yes", "error_without_k", "echo_without_ber",
          "echo_in_dbm", "echo_with_resolve_targets", "echo_with_removed_circuit",
-         "short_raw_line", "errors_not_a_list"],
+         "short_raw_line", "errors_not_a_list", "int_past_64_bits"],
 )
 def test_compare_rejects_malformed_run(tmp_path, capsys, damage, file, named):
     assert main(["run", "--config", str(write_config(tmp_path)), "--realizations", "1"]) == 0
@@ -523,7 +535,7 @@ def test_read_report_spans_parse_blocks(tmp_path, capsys):
     assert main(["run", "--config", str(config)]) == 0
     run_dir = tmp_path / "out"
     report = read_report(run_dir)
-    assert [(row.k_users, row.realization) for row in report.rows] == [
+    assert report.rows[["k_users", "realization"]].tolist() == [
         (k, r) for k in (2, 3) for r in range(40)
     ]
     emit_results(report, tmp_path / "again")
@@ -571,6 +583,41 @@ def test_compare_refuses_runs_whose_draws_differ(tmp_path, capsys):
     assert main(["compare", "--a", str(run_dir), "--b", str(other)]) == 2
     err = capsys.readouterr().err
     assert "refusing comparison: draws differ at K=3, realization 0" in err
+
+
+def test_compare_pairs_rows_by_k_and_realization_not_by_line(tmp_path):
+    # Run b's raw.csv with its data lines shuffled writes the same verdict table.
+    for side, algorithm in (("ra", "alg1"), ("rb", "baseline")):
+        config = write_config(
+            tmp_path, filename=f"{side}.yaml", output_dir=str(tmp_path / side), realizations=6,
+            system={"algorithm": algorithm},
+        )
+        assert main(["run", "--config", str(config)]) == 0
+    shuffled = tmp_path / "shuffled"
+    shutil.copytree(tmp_path / "rb", shuffled)
+    header, *lines = (shuffled / "raw.csv").read_bytes().splitlines(keepends=True)
+    order = np.random.default_rng(5).permutation(len(lines))
+    assert len(lines) == 12 and (order != np.arange(len(lines))).any()
+    (shuffled / "raw.csv").write_bytes(header + b"".join(lines[i] for i in order))
+    for b, out in ((tmp_path / "rb", "plain.csv"), (shuffled, "shuffled.csv")):
+        argv = ["compare", "--a", str(tmp_path / "ra"), "--b", str(b), "--out", str(tmp_path / out)]
+        assert main(argv) == 0
+    with open(tmp_path / "plain.csv", newline="") as handle:
+        assert [row["samples"] for row in csv.DictReader(handle)] == ["6", "6"]
+    assert (tmp_path / "shuffled.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+
+def test_compare_names_the_first_differing_draw_in_the_line_order_of_run_a(tmp_path, capsys):
+    assert main(["run", "--config", str(write_config(tmp_path)), "--realizations", "3"]) == 0
+    run_dir, run_a, run_b = tmp_path / "out", tmp_path / "a", tmp_path / "b"
+    shutil.copytree(run_dir, run_b)
+    _set_raw_cell(run_b, 1, "draw_checksum", "0" * 16)  # K = 2, realization 0
+    _set_raw_cell(run_b, 6, "draw_checksum", "0" * 16)  # K = 3, realization 2
+    shutil.copytree(run_dir, run_a)
+    header, *lines = (run_a / "raw.csv").read_bytes().splitlines(keepends=True)
+    (run_a / "raw.csv").write_bytes(header + b"".join(reversed(lines)))
+    assert main(["compare", "--a", str(run_a), "--b", str(run_b)]) == 2
+    assert "refusing comparison: draws differ at K=3, realization 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "solve", "tradeoff"])

@@ -116,19 +116,19 @@ def test_unknown_config_raises():
 def test_run_experiment_single_user_hits_analytic_optimum():
     config = tiny_config(user_counts=(1,), fading="none", realizations=2, iterations=500)
     report = run_experiment(config)
-    assert all(row.outage_fraction == 0.0 for row in report.rows)
+    assert all(outage == 0.0 for outage in report.rows["outage_fraction"].tolist())
     params = config.ee_params()
     gap = params.gap()
     grid = np.geomspace(1e-3, 1e7, 300_000)
     for row in report.rows:
         # The row's own draw: its user's distance on the ring sets the interference.
         scenario = ce.draw_scenario(
-            config.geometry, 1, config.processing_gain, "mf", row.seed, fading="none"
+            config.geometry, 1, config.processing_gain, "mf", int(row["seed"]), fading="none"
         )
         itf = params.noise_power / scenario.channel.gain_power[0]
         star = grid[np.argmax(ce.utility(grid * itf, grid, params, gap))]
         best = float(ce.utility(star * itf, star, params, gap))
-        assert abs(row.global_ee - best) / best < 1e-3
+        assert abs(row["global_ee"] - best) / best < 1e-3
 
 
 def test_aggregates_are_means_of_rows():
@@ -136,21 +136,21 @@ def test_aggregates_are_means_of_rows():
     report = run_experiment(config)
     aggregates = aggregate_rows(report.rows, report.errors)
     for k_users in config.user_counts:
-        rows = [row for row in report.rows if row.k_users == k_users]
+        rows = report.rows[report.rows["k_users"] == k_users]
         (entry,) = [e for e in aggregates if e["k_users"] == k_users]
         assert entry["realizations"] == 2
         assert entry["mean_global_ee_bit_per_joule"] == pytest.approx(
-            np.mean([r.global_ee for r in rows]), rel=1e-15
+            np.mean(rows["global_ee"].tolist()), rel=1e-15
         )
         assert entry["mean_sum_power_w"] == pytest.approx(
-            np.mean([r.sum_power for r in rows]), rel=1e-15
+            np.mean(rows["sum_power"].tolist()), rel=1e-15
         )
 
 
 def test_dec_above_processing_gain_records_error_and_continues():
     config = tiny_config(receiver="dec", user_counts=(2, 40), processing_gain=15)
     report = run_experiment(config)
-    assert {row.k_users for row in report.rows} == {2}
+    assert set(report.rows["k_users"].tolist()) == {2}
     assert any(err["k_users"] == 40 and "K <= N" in err["error"] for err in report.errors)
 
 
@@ -159,8 +159,8 @@ def test_paired_draws_share_checksums():
     config_b = tiny_config(algorithm="baseline")
     report_a = run_experiment(config_a)
     report_b = run_experiment(config_b)
-    sums_a = [(r.k_users, r.realization, r.draw_checksum) for r in report_a.rows]
-    sums_b = [(r.k_users, r.realization, r.draw_checksum) for r in report_b.rows]
+    sums_a = report_a.rows[["k_users", "realization", "draw_checksum"]].tolist()
+    sums_b = report_b.rows[["k_users", "realization", "draw_checksum"]].tolist()
     assert sums_a == sums_b
 
 
@@ -221,8 +221,8 @@ def test_k_sweep_equals_each_k_run_alone(monkeypatch, receiver, user_counts):
     # One draw per realization, at the largest K the receiver accepts (N = 15).
     assert drawn == [13] * 3
     alone = [run_experiment(tiny_config(receiver=receiver, user_counts=(k,))) for k in user_counts]
-    assert sweep.rows == sorted(
-        (row for report in alone for row in report.rows), key=lambda row: row.k_users
+    assert sweep.rows.tolist() == sorted(
+        (row for report in alone for row in report.rows.tolist()), key=lambda row: row[0]
     )
     assert sweep.errors == sorted(
         (err for report in alone for err in report.errors),
@@ -277,7 +277,7 @@ def test_mf_runs_cut_into_blocks_at_the_value_budget_change_no_row(monkeypatch):
     monkeypatch.setattr(harness, "run_control_batch", counting_run)
     cut = run_experiment(config)
     assert calls == [6, 6, 3]
-    assert cut.rows == whole.rows
+    assert cut.rows.tolist() == whole.rows.tolist()
     assert cut.errors == whole.errors and cut.diagnostics == whole.diagnostics
 
 
@@ -291,12 +291,12 @@ def test_emit_and_read_round_trip(tmp_path):
     # 30 iterations leave rows with a removal and no stabilized iteration.
     config = tiny_config(realizations=2, iterations=30)
     report = run_experiment(config)
-    assert any(row.removed_order for row in report.rows)
-    assert any(row.stabilized_iteration is None for row in report.rows)
+    assert any(report.rows["removed_order"])
+    assert any(stab is None for stab in report.rows["stabilized_iteration"])
     first, second = tmp_path / "out", tmp_path / "again"
     paths = emit_results(report, first)
     loaded = read_report(first)
-    assert loaded.rows == report.rows
+    assert loaded.rows.tolist() == report.rows.tolist()
     aggregates = aggregate_rows(report.rows, report.errors)
     assert aggregate_rows(loaded.rows, loaded.errors) == aggregates
     assert read_aggregate_csv(first) == aggregates
@@ -333,7 +333,7 @@ def test_emit_rerun_is_byte_identical(tmp_path):
 def test_parallel_run_matches_serial(tmp_path, receiver):
     serial = run_experiment(tiny_config(workers=0, receiver=receiver))
     parallel = run_experiment(tiny_config(workers=2, receiver=receiver))
-    assert serial.rows == parallel.rows
+    assert serial.rows.tolist() == parallel.rows.tolist()
     assert serial.diagnostics == parallel.diagnostics
     emit_results(serial, tmp_path / "s")
     emit_results(parallel, tmp_path / "p")
@@ -372,11 +372,12 @@ def test_metadata_counts_verhulst_iterations_per_k(tmp_path):
     assert set(diagnostics) == {"2", "3"}
     for k, entry in diagnostics.items():
         counts = entry["verhulst_iterations"]
-        rounds = sum(row.rounds for row in report.rows if row.k_users == int(k))
+        rows = report.rows[report.rows["k_users"] == int(k)]
+        rounds = sum(rows["rounds"].tolist())
         assert counts["budget"] == rounds * config.iterations
         assert 0 < counts["run"] < counts["budget"]  # rows here leave their rounds early
         assert entry["rounds"] == rounds
-        flagged = sum(row.target_flagged for row in report.rows if row.k_users == int(k))
+        flagged = sum(rows["target_flagged"].tolist())
         assert entry["target_flagged"] == flagged
 
 
@@ -396,16 +397,16 @@ NEAR = dict(geometry=ce.RingGeometry(1.0, 200.0), circuit_power=0.03, realizatio
 def test_diagnostics_count_kept_rows_alike_serial_and_parallel(tmp_path, overrides, refusals):
     serial = run_experiment(tiny_config(**overrides))
     parallel = run_experiment(tiny_config(workers=2, **overrides))
-    assert serial.rows == parallel.rows and serial.errors == parallel.errors
+    assert serial.rows.tolist() == parallel.rows.tolist() and serial.errors == parallel.errors
     emit_results(serial, tmp_path / "s")
     emit_results(parallel, tmp_path / "p")
     written = [json.loads((tmp_path / d / "metadata.json").read_text()) for d in "sp"]
     assert written[0]["diagnostics"] == written[1]["diagnostics"]
     assert written[0]["errors"] == written[1]["errors"]
     for k, entry in written[0]["diagnostics"].items():
-        rows = [row for row in serial.rows if row.k_users == int(k)]
-        assert entry["rounds"] == sum(row.rounds for row in rows)
-        assert entry["target_flagged"] == sum(row.target_flagged for row in rows)
+        rows = serial.rows[serial.rows["k_users"] == int(k)]
+        assert entry["rounds"] == sum(rows["rounds"].tolist())
+        assert entry["target_flagged"] == sum(rows["target_flagged"].tolist())
     if refusals:
         assert any("realization" in err for err in serial.errors)
     else:
@@ -425,26 +426,28 @@ def test_grouped_metrics_equal_each_row_alone():
         iterations=100,
     )
     report = run_experiment(config)
-    records = {(row.k_users, row.realization): row for row in report.rows}
-    assert {row.removed_count == row.k_users for row in report.rows} == {True, False}
-    assert any(0 < row.removed_count < row.k_users for row in report.rows)
+    rows = report.rows
+    records = dict(zip(rows[["k_users", "realization"]].tolist(), rows))
+    assert set((rows["removed_count"] == rows["k_users"]).tolist()) == {True, False}
+    assert any(0 < removed < k for removed, k in rows[["removed_count", "k_users"]].tolist())
     params = config.ee_params()
     circuit = params.circuit_power
     realizations = list(range(config.realizations))
     for ks, _, _, result in run_block(config, list(config.user_counts), realizations):
         for b in np.flatnonzero(~result.failed):
-            row = records[ks[b], realizations[b % len(realizations)]]
+            row = records[int(ks[b]), realizations[b % len(realizations)]]
             active = result.active[b]
             sinr, power = result.sinr[b][active], result.power[b][active]
             rates = ce.rate(sinr, params.gap(), config.bandwidth)
             delivered = params.load_fraction * rates * ce.packet_success(sinr, params.packet_bits)
             total = np.sum(power + circuit)
-            assert row.sum_rate == float(np.sum(rates))
-            assert row.sum_power == float(total)
-            assert row.sum_power_incl_removed_circuit == float(total + row.removed_count * circuit)
-            assert row.global_ee == (float(np.sum(delivered) / total) if total > 0.0 else 0.0)
+            assert row["sum_rate"] == float(np.sum(rates))
+            assert row["sum_power"] == float(total)
+            removed_circuit = row["removed_count"] * circuit
+            assert row["sum_power_incl_removed_circuit"] == float(total + removed_circuit)
+            assert row["global_ee"] == (float(np.sum(delivered) / total) if total > 0.0 else 0.0)
             if not active.any():
-                assert row.global_ee == 0.0
+                assert row["global_ee"] == 0.0
 
 
 def test_a_refused_rows_error_names_its_own_k_and_realization():
@@ -490,7 +493,7 @@ def test_a_run_of_one_block_builds_no_pool(monkeypatch):
 def test_header_only_tables_when_no_valid_k(tmp_path):
     config = tiny_config(receiver="dec", user_counts=(40,), processing_gain=15)
     report = run_experiment(config)
-    assert report.rows == []
+    assert report.rows.dtype == harness.ROW_DTYPE and report.rows.tolist() == []
     paths = emit_results(report, tmp_path / "empty")
     raw_lines = paths["raw"].read_text().strip().splitlines()
     agg_lines = paths["aggregate"].read_text().strip().splitlines()
@@ -502,15 +505,17 @@ def test_full_precision_round_trip(tmp_path):
     report = run_experiment(config)
     emit_results(report, tmp_path / "rt")
     loaded = read_report(tmp_path / "rt")
+    assert len(loaded.rows) == len(report.rows) == 4
     for original, parsed in zip(report.rows, loaded.rows):
-        assert parsed.global_ee == original.global_ee  # exact, not approximate
-        assert parsed.sum_rate == original.sum_rate
+        assert parsed["global_ee"] == original["global_ee"]  # exact, not approximate
+        assert parsed["sum_rate"] == original["sum_rate"]
 
 
 def test_emit_writes_the_aggregates_of_the_rows_it_is_given(tmp_path):
     # A report whose rows were replaced gets the new rows' means, not the old ones'.
     report = run_experiment(tiny_config())
-    rows = [dataclasses.replace(r, global_ee=r.global_ee + r.realization) for r in report.rows]
+    rows = report.rows.copy()
+    rows["global_ee"] += rows["realization"]
     emit_results(dataclasses.replace(report, rows=rows), tmp_path)
     written = read_aggregate_csv(tmp_path)
     assert written == aggregate_rows(rows, report.errors)
@@ -558,11 +563,12 @@ def test_paired_comparison_interval_is_mean_plus_minus_t_sem():
     diffs = {2: [2.0, 3.0, 4.0], 3: [-3.0, -2.5, -2.0]}
 
     def with_ee(offsets):
-        rows = [dataclasses.replace(r, global_ee=offsets(r)) for r in report.rows]
+        rows = report.rows.copy()
+        rows["global_ee"] = [offsets(k, r) for k, r in rows[["k_users", "realization"]].tolist()]
         return dataclasses.replace(report, rows=rows)
 
-    report_a = with_ee(lambda r: 10.0 + diffs[r.k_users][r.realization])
-    report_b = with_ee(lambda r: 10.0)
+    report_a = with_ee(lambda k, r: 10.0 + diffs[k][r])
+    report_b = with_ee(lambda k, r: 10.0)
     verdicts = paired_comparison(report_a, report_b, "global_ee")
     assert [v.verdict for v in verdicts] == ["a>b", "b>a"]
     for v in verdicts:
@@ -578,11 +584,13 @@ def test_paired_comparison_pairs_only_rows_present_in_both_runs():
     missing = {(2, 1), (2, 2), (3, 0)}  # run b lacks these rows: K = 2 keeps a single pair
 
     def with_ee(value, rows):
-        rows = [dataclasses.replace(r, global_ee=value) for r in rows]
+        rows = rows.copy()
+        rows["global_ee"] = value
         return dataclasses.replace(report, rows=rows)
 
+    pairs = report.rows[["k_users", "realization"]].tolist()
     report_a = with_ee(12.0, report.rows)
-    report_b = with_ee(10.0, [r for r in report.rows if (r.k_users, r.realization) not in missing])
+    report_b = with_ee(10.0, report.rows[[pair not in missing for pair in pairs]])
     single, pair = paired_comparison(report_a, report_b, "global_ee")
     assert (single.k_users, single.samples, single.mean_diff) == (2, 1, 2.0)
     assert (single.ci_low, single.ci_high) == (-np.inf, np.inf)
@@ -617,6 +625,35 @@ def test_aggregate_rows_counts_failures():
     aggregates = aggregate_rows(report.rows, errors)
     entry = [a for a in aggregates if a["k_users"] == 2][0]
     assert entry["failed_realizations"] == 1
+
+
+def test_aggregate_means_keep_their_bits_past_8192_rows():
+    # NumPy sums a strided field view in buffered chunks of 8192 values, which moves the
+    # last bits of a mean; each mean must equal that of the column's values as a list.
+    rng = np.random.default_rng(8)
+    n = 20_000
+    floats = rng.lognormal(0.0, 3.0, (5, n))
+    rows = harness._table(
+        np.full(n, 3), np.arange(n), np.arange(n), *floats[:4], floats[4] / floats[4].max(),
+        rng.integers(0, 4, n), [()] * n, np.ones(n, int), rng.random(n) < 0.7, [None] * n,
+        np.zeros(n, bool), ["0" * 16] * n,
+    )
+    (entry,) = aggregate_rows(rows, [])
+    assert (entry["k_users"], entry["realizations"], entry["failed_realizations"]) == (3, n, 0)
+    for column, name in harness.AGGREGATE_MEANS.items():
+        assert entry[column] == float(np.mean(rows[name].tolist())), column
+
+
+def test_seeds_up_to_the_int64_limit_run_and_read_back(tmp_path):
+    # Realization r runs on seed + r, which the row table holds as an int64.
+    top = 2**63 - 1
+    config = tiny_config(seed=top - 2, realizations=3, user_counts=(2,))
+    report = run_experiment(config)
+    assert report.rows["seed"].tolist() == [top - 2, top - 1, top]
+    emit_results(report, tmp_path)
+    assert read_report(tmp_path).rows.tolist() == report.rows.tolist()
+    with pytest.raises(ce.ConfigurationError, match=r"seed must be in \[0, 2\*\*63 - realizations\]"):
+        tiny_config(seed=top - 1, realizations=3)
 
 
 def test_write_json_refuses_non_finite_numbers(tmp_path):
